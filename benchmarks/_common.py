@@ -10,17 +10,19 @@ Knobs (environment variables):
 * ``REPRO_BENCH_SCALE=tiny|small|full`` (default ``small``) — sweep
   sizing. ``full`` reproduces the EXPERIMENTS.md numbers; ``small``
   keeps the suite in the minutes range.
-* ``REPRO_BENCH_ENGINE=reference|bitset|bank`` (default ``reference``)
-  — the round-loop implementation
-  (:data:`repro.core.engine.ENGINE_NAMES`). Results are seed-for-seed
-  identical across engines, so switching only moves wall-clock time;
-  run a bench once per engine to measure the fast engines' speedup.
+* ``REPRO_BENCH_ENGINE=reference|bank`` (default ``reference``) — the
+  round-loop implementation: the ``reference`` oracle or the one fast
+  engine, ``bank`` (:data:`repro.core.engine.ENGINE_NAMES` also
+  accepts ``bitset``, a deprecated alias for bank). Results are
+  seed-for-seed identical across engines, so switching only moves
+  wall-clock time; run a bench once per engine to measure the bank
+  engine's speedup.
 * ``REPRO_BENCH_SKIP=1|0`` (default unset) — force event-driven round
   skipping on or off for every trial; unset leaves each engine's own
-  default (on for bitset/bank, off for reference). Results are
-  identical either way (tests/test_skip_properties.py pins this), so
-  the knob exists purely to measure the skip win: artifacts from an
-  explicit setting carry an engine label suffix (``bitset-noskip``,
+  default (on for bank, off for reference). Results are identical
+  either way (tests/test_skip_properties.py pins this), so the knob
+  exists purely to measure the skip win: artifacts from an explicit
+  setting carry an engine label suffix (``bank-noskip``,
   ``reference-skip``) so both sides of the comparison can be
   committed side by side.
 * ``REPRO_BENCH_REPEATS`` (default 1) — timing repeats per experiment;
@@ -96,8 +98,8 @@ BENCH_SKIP: Optional[bool] = (
 )
 
 #: Engine label used in artifact names: the engine itself under default
-#: skip semantics, suffixed when skip is forced so that e.g. ``bitset``
-#: and ``bitset-noskip`` artifacts coexist for the speedup comparison.
+#: skip semantics, suffixed when skip is forced so that e.g. ``bank``
+#: and ``bank-noskip`` artifacts coexist for the speedup comparison.
 ENGINE_LABEL = BENCH_ENGINE + {True: "-skip", False: "-noskip", None: ""}[BENCH_SKIP]
 
 #: When truthy, run each experiment under cProfile and dump the top-20
@@ -355,14 +357,15 @@ def assert_contrasts(result: ExperimentResult) -> None:
 
 
 def assert_not_slower_than_reference(exp_id: str) -> None:
-    """Fail loudly (nonzero pytest exit) when a fast engine loses.
+    """Fail loudly (nonzero pytest exit) when the fast engine loses.
 
     Compares the artifact this run just wrote against the committed
     ``reference``-engine artifact for the same (experiment, scale)
-    cell. This is the regression tripwire for the bitset MAC slowdown:
-    the fast path once shipped *losing* 2x on every M experiment while
-    the equivalence suite stayed green, because nothing asserted wall
-    time. Min-of-repeats is compared (the noise-robust statistic).
+    cell. This is the regression tripwire for a fast path that loses:
+    an earlier fast engine once shipped *losing* 2x on every M
+    experiment while the equivalence suite stayed green, because
+    nothing asserted wall time. Min-of-repeats is compared (the
+    noise-robust statistic).
 
     A no-op for the reference engine itself, and when either artifact
     is missing (fresh checkout, artifacts disabled) — the guard bites
@@ -395,13 +398,13 @@ def assert_skip_speedup(
     *,
     series_contains: str,
     min_ratio: float,
-    engine: str = "bitset",
+    engine: str = "bank",
 ) -> None:
     """The committed skip-on artifact beats skip-off by ``min_ratio``.
 
     Compares the largest-parameter cell of the matching series between
-    ``BENCH_<exp>_<scale>_<engine>.json`` (skip on by default for fast
-    engines) and ``BENCH_<exp>_<scale>_<engine>-noskip.json``
+    ``BENCH_<exp>_<scale>_<engine>.json`` (skip on by default for the
+    bank engine) and ``BENCH_<exp>_<scale>_<engine>-noskip.json``
     (``REPRO_BENCH_SKIP=0``). Cell-level comparison is deliberate: the
     whole-experiment total mixes in series and build work that skipping
     cannot touch, while the claim — event-driven skipping pays at
@@ -440,60 +443,6 @@ def assert_skip_speedup(
         f"on {skipping['series']!r} at parameter {skipping['parameter']} "
         f"({full['seconds']:.3f}s -> {skipping['seconds']:.3f}s), "
         f"claimed >= {min_ratio:g}x"
-    )
-
-
-def assert_engine_cell_speedup(
-    exp_id: str,
-    *,
-    series_contains: str,
-    min_ratio: float,
-    fast: str = "bank",
-    slow: str = "bitset",
-) -> None:
-    """The committed ``fast``-engine artifact beats ``slow`` by ``min_ratio``.
-
-    Compares the largest-parameter cell of the matching series between
-    ``BENCH_<exp>_<scale>_<fast>.json`` and the corresponding ``slow``
-    artifact. This is the tripwire for the struct-of-arrays decay
-    kernels: the single-message family is supposed to run its whole
-    plan/coin/MAC round on numpy lanes, and losing that path (a kernel
-    selection regression, a silent fallback to per-process simulation)
-    shows up exactly here — the equivalence suite stays green either
-    way because the fallback is byte-identical, just slow.
-
-    Like the other artifact guards this is a no-op when either artifact
-    is missing or lacks cells, and it reads *committed* numbers — the
-    guard bites when someone regenerates the fast artifact on a machine
-    where the kernels stopped paying.
-    """
-    directory = _results_dir()
-    if directory is None:
-        return
-    pair = {}
-    for label in (fast, slow):
-        path = directory / f"BENCH_{exp_id}_{BENCH_SCALE}_{label}.json"
-        if not path.exists():
-            return
-        cells = [
-            cell
-            for cell in json.loads(path.read_text()).get("cells", [])
-            if series_contains in cell["series"]
-        ]
-        if not cells:
-            return
-        pair[label] = max(cells, key=lambda cell: cell["parameter"])
-    assert pair[fast]["parameter"] == pair[slow]["parameter"], (
-        f"{exp_id}/{BENCH_SCALE}: artifacts disagree on the largest "
-        f"parameter ({pair[fast]['parameter']} vs {pair[slow]['parameter']}) "
-        "— regenerate both engines at the same scale"
-    )
-    ratio = pair[slow]["seconds"] / pair[fast]["seconds"]
-    assert ratio >= min_ratio, (
-        f"{exp_id}/{BENCH_SCALE}: engine {fast!r} beat {slow!r} by only "
-        f"{ratio:.2f}x on {pair[fast]['series']!r} at parameter "
-        f"{pair[fast]['parameter']} ({pair[slow]['seconds']:.3f}s -> "
-        f"{pair[fast]['seconds']:.3f}s), claimed >= {min_ratio:g}x"
     )
 
 

@@ -3,24 +3,26 @@
 E1b_large runs local broadcast on rings two decades of n past the
 Figure-1 sweeps — the regime where engine implementation choices, not
 asymptotic shape, dominate wall-clock time. The round-robin series is
-~63/64 provably silent rounds, which the skip-enabled engines
-fast-forward through; round counts stay bit-identical either way
-(tests/test_skip_properties.py), so the two committed bitset artifacts
+~63/64 provably silent rounds, which the skip-enabled bank engine
+fast-forwards through; round counts stay bit-identical either way
+(tests/test_skip_properties.py), so the two committed bank artifacts
 (default skip on vs ``REPRO_BENCH_SKIP=0``) isolate the skip win.
 
 Regenerating the committed artifacts::
 
     REPRO_BENCH_ENGINE=reference pytest benchmarks/bench_engine_skip.py
-    REPRO_BENCH_ENGINE=bitset    pytest benchmarks/bench_engine_skip.py
-    REPRO_BENCH_ENGINE=bitset REPRO_BENCH_SKIP=0 \
+    REPRO_BENCH_ENGINE=bank      pytest benchmarks/bench_engine_skip.py
+    REPRO_BENCH_ENGINE=bank REPRO_BENCH_SKIP=0 \
         pytest benchmarks/bench_engine_skip.py
-    REPRO_BENCH_ENGINE=bank     pytest benchmarks/bench_engine_skip.py
+
+Which kernel each algorithm selects — the struct-of-arrays decay
+kernels this experiment exercises — is pinned deterministically by
+``tests/test_bank_rng.py`` rather than by comparing timings.
 """
 
 from __future__ import annotations
 
 from benchmarks._common import (
-    assert_engine_cell_speedup,
     assert_growth,
     assert_not_slower_than_reference,
     assert_skip_speedup,
@@ -44,13 +46,4 @@ def test_e1b_large_engine_scale(benchmark):
     assert_not_slower_than_reference("E1b_large")
     assert_skip_speedup(
         "E1b_large", series_contains="round-robin", min_ratio=5.0
-    )
-    # The decay-kernel guard: the committed bank cells must beat the
-    # committed bitset cells 3x on both single-message series' largest
-    # parameter, or the struct-of-arrays path has regressed.
-    assert_engine_cell_speedup(
-        "E1b_large", series_contains="round-robin", min_ratio=3.0
-    )
-    assert_engine_cell_speedup(
-        "E1b_large", series_contains="static-local-decay", min_ratio=3.0
     )

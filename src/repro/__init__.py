@@ -30,7 +30,6 @@ imperative use.
 from repro.core import (
     ENGINE_NAMES,
     BitCursor,
-    BitsetRadioNetworkEngine,
     BitStream,
     ExecutionResult,
     Message,
@@ -47,7 +46,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BitCursor",
     "BitStream",
-    "BitsetRadioNetworkEngine",
     "ENGINE_NAMES",
     "ExecutionResult",
     "Message",

@@ -55,8 +55,8 @@ __all__ = [
 
 
 #: Above this node count a topology's packed word rows cost more memory
-#: (n²/8 bytes per distinct pattern) than the engines save; the bitset
-#: resolver switches to candidate scanning in the same regime.
+#: (n²/8 bytes per distinct pattern) than the engines save; the bank
+#: engine's resolver switches to candidate scanning in the same regime.
 PACKED_ROWS_MAX_N = 16384
 
 

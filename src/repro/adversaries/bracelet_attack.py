@@ -150,7 +150,7 @@ class BraceletObliviousAttacker(LinkProcess):
         return _label_run_boundary(self.labels, True, round_index)
 
     def dense_round_fraction(self) -> float:
-        """Fraction of scheduled rounds labelled dense (diagnostics)."""
+        """Share of scheduled rounds labelled dense (diagnostics)."""
         if not self.labels:
             return 0.0
         return sum(self.labels) / len(self.labels)

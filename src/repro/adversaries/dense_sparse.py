@@ -114,7 +114,7 @@ class OnlineDenseSparseAttacker(LinkProcess):
         return total
 
     def dense_round_fraction(self) -> float:
-        """Fraction of observed rounds labelled dense (diagnostics)."""
+        """Share of observed rounds labelled dense (diagnostics)."""
         if not self.dense_history:
             return 0.0
         return sum(self.dense_history) / len(self.dense_history)

@@ -22,7 +22,7 @@ from typing import AbstractSet, Optional
 from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_broadcasters
 from repro.algorithms.decay import decay_probability
 from repro.core.messages import Message, MessageKind
-from repro.core.process import SILENT_SIGNATURE, Process, ProcessContext, RoundPlan
+from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
 
 __all__ = ["StaticLocalDecayProcess", "make_static_local_broadcast"]
@@ -53,17 +53,6 @@ class StaticLocalDecayProcess(Process):
             self.message = Message(
                 MessageKind.DATA, origin=ctx.node_id, payload=payload
             )
-
-    def plan_signature(self, round_index: int):
-        # Broadcasters share the public ladder but not their messages
-        # (origin = own id), so each forms a permanent singleton class;
-        # the silent majority is one shared class.
-        if not self.is_broadcaster:
-            return SILENT_SIGNATURE
-        return (id(self.message), self.phase_length)
-
-    def plan_signature_expiry(self, round_index: int):
-        return None  # roles never change
 
     def next_state_change(self, round_index: int):
         if not self.is_broadcaster:

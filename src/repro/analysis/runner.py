@@ -48,10 +48,11 @@ class PreparedTrial:
     """Everything one execution needs, freshly constructed.
 
     ``engine`` selects the round-loop implementation
-    (:data:`repro.core.engine.ENGINE_NAMES`): ``"reference"``, the
-    seed-for-seed identical ``"bitset"`` fast path, or ``"bank"`` —
-    also seed-for-seed identical, and additionally batched *across
-    trials* when a whole seed bank reaches :func:`run_bank_trials`.
+    (:data:`repro.core.engine.ENGINE_NAMES`): ``"reference"`` or the
+    seed-for-seed identical ``"bank"`` engine, which is additionally
+    batched *across trials* when a whole seed bank reaches
+    :func:`run_bank_trials` (``"bitset"`` is a deprecated alias for
+    ``"bank"``).
 
     ``mac`` (optional) is the trial's abstract MAC layer
     (:class:`repro.mac.base.AbstractMACLayer`). Engine-mode layers are
@@ -61,7 +62,7 @@ class PreparedTrial:
     simulation in :mod:`repro.mac.oracle`.
 
     ``skip`` controls event-driven round skipping (``None`` = the
-    resolved engine's default: on for the fast engines, off for
+    resolved engine's default: on for ``bank``, off for
     ``reference``); like the engine choice it cannot change results.
     ``label`` names the scenario in engine-fallback warnings.
     """

@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from repro.analysis.runner import Scenario, TrialResult, run_prepared_trial
+from repro.core.engine import canonical_engine
 from repro.core.errors import SpecError
 
 __all__ = ["TrialExecutor", "SerialExecutor", "ParallelExecutor"]
@@ -50,8 +51,8 @@ class TrialExecutor(abc.ABC):
 class SerialExecutor(TrialExecutor):
     """One process, one trial at a time — the reference backend.
 
-    ``engine="bank"`` scenarios are the one structured deviation from
-    the literal loop: the whole seed batch is handed to
+    ``engine="bank"`` scenarios (and ``"bitset"`` ones, its deprecated
+    alias) are the one structured deviation from the literal loop: the whole seed batch is handed to
     :func:`~repro.analysis.runner.run_bank_trials`, which runs it as
     lockstep lanes of one struct-of-arrays kernel — lanes may carry
     different round caps, retiring individually as they hit them.
@@ -79,7 +80,7 @@ class SerialExecutor(TrialExecutor):
         if not seeds:
             return []
         first = scenario(seeds[0])
-        if getattr(first, "engine", None) == "bank":
+        if canonical_engine(getattr(first, "engine", "reference")) == "bank":
             from repro.analysis.runner import run_bank_trials
 
             return run_bank_trials(

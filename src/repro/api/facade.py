@@ -79,9 +79,8 @@ class Simulation:
         """Build from a :class:`ScenarioSpec`, spec dict, or JSON string.
 
         ``engine`` (optional) overrides the spec's round-loop
-        implementation — e.g. ``engine="bitset"`` opts a stored
-        scenario into the vectorized fast path without editing the
-        file. ``skip`` (optional) likewise overrides event-driven round
+        implementation — e.g. ``engine="bank"`` opts a stored
+        scenario into the fast engine without editing the file. ``skip`` (optional) likewise overrides event-driven round
         skipping. Results are independent of both; only wall-clock
         changes.
         """

@@ -124,10 +124,11 @@ class ScenarioSpec:
 
     ``engine`` picks the round-loop implementation
     (:data:`~repro.core.engine.ENGINE_NAMES`): ``"reference"``
-    (default), ``"bitset"`` (the vectorized fast path), or ``"bank"``
-    (the trial-batched engine — executors run a ``"bank"`` scenario's
-    whole seed list as one lockstep bank). Both fast engines are
-    seed-for-seed identical to the reference loop and auto-fall-back
+    (default) or ``"bank"`` (the trial-batched fast engine — executors
+    run a ``"bank"`` scenario's whole seed list as one lockstep bank);
+    ``"bitset"`` is a deprecated alias for ``"bank"`` that stays valid
+    (and keeps its own spec hash) for stored specs. The bank engine is
+    seed-for-seed identical to the reference loop and auto-falls back
     (with a warning) for adaptive adversaries. Because it cannot change results, the engine
     is a *performance* knob: it serializes with the spec so a saved
     scenario reruns the way it was tuned, but editing it never alters

@@ -88,9 +88,10 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         choices=list(ENGINE_NAMES),
         default=None,
         help=(
-            "round-loop implementation: 'bitset' is the vectorized fast "
-            "path, seed-for-seed identical to 'reference' (auto-falls "
-            "back, with a warning, for adaptive adversaries)"
+            "round-loop implementation: 'bank' is the trial-batched fast "
+            "engine, seed-for-seed identical to 'reference' (auto-falls "
+            "back, with a warning, for adaptive adversaries); 'bitset' "
+            "is a deprecated alias for 'bank'"
         ),
     )
     parser.add_argument(
@@ -100,7 +101,7 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         help=(
             "force event-driven round skipping on (--skip) or off "
             "(--no-skip); default: the engine's own default (on for "
-            "bitset/bank, off for reference). Trial results are "
+            "bank, off for reference). Trial results are "
             "identical either way"
         ),
     )

@@ -26,7 +26,6 @@ from repro.core.errors import (
     ServeError,
     TopologyViolationError,
 )
-from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan, SilentProcess
 from repro.core.rng import derive_seed, spawn_numpy_rng, spawn_rng
@@ -46,7 +45,6 @@ __all__ = [
     "ENGINE_NAMES",
     "ExecutionResult",
     "RadioNetworkEngine",
-    "BitsetRadioNetworkEngine",
     "create_engine",
     "EngineError",
     "EngineFallbackWarning",

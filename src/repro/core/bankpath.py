@@ -1,23 +1,22 @@
 """The bank engine: a trial-batched numpy struct-of-arrays kernel.
 
-:class:`BankRadioNetworkEngine` is the third registered engine
-(``engine="bank"``). Where the bitset fast path batches *across nodes*
-within one trial, the bank batches *across trials*: an entire seed bank
-of independent executions advances in lockstep rounds, and the per-round
-numpy work — Bernoulli comparisons, transmit-mask packing, and the
-dense reception matvec — runs once for the whole bank instead of once
-per trial.
+:class:`BankRadioNetworkEngine` is the fast engine (``engine="bank"``;
+``"bitset"`` is a deprecated alias for it). It batches *across
+trials*: an entire seed bank of independent executions advances in
+lockstep rounds, and the per-round numpy work — Bernoulli comparisons,
+transmit-mask packing, and the dense reception matvec — runs once for
+the whole bank instead of once per trial.
 
 Three layers cooperate:
 
-1. **Per-trial lanes.** Each trial still owns a
+1. **Per-trial lanes.** Each trial owns a
    :class:`BankRadioNetworkEngine` — a
-   :class:`~repro.core.fastpath.BitsetRadioNetworkEngine` subclass, so
-   every stage it does not override (topology, reception, feedback
-   skipping, records) keeps the proven bitset semantics. A standalone
-   ``engine.run()`` therefore works exactly like bitset (that is what
-   :func:`~repro.core.engine.create_engine` returns for a single
-   trial); the cross-trial wins need the batch entry points below.
+   :class:`~repro.core.engine.RadioNetworkEngine` subclass that keeps
+   the reference record keeping and replaces topology lookup and
+   reception with cached matvec/bitset resolution. A standalone
+   ``engine.run()`` (what :func:`~repro.core.engine.create_engine`
+   returns for a single trial) is a bank of one lane; the cross-trial
+   wins need a whole seed bank.
 2. **Vectorized protocol kernels.** Two families replace the per-node
    Python state machines with struct-of-arrays state:
 
@@ -39,24 +38,24 @@ Three layers cooperate:
    The kernels reproduce the reference engine's plans bit-for-bit
    (probabilities are exact powers of two via ``ldexp``; message
    identity is canonical), which ``tests/test_engine_equivalence.py``
-   holds to full-trace identity. Algorithms without a kernel simply run
-   the lanes' inherited bitset plan stage — still batched at the
-   coins/reception layer, never falling back to a slower path.
+   holds to full-trace identity. Algorithms without a kernel run the
+   reference engine's own per-node plan and feedback stages in each
+   lane — still batched at the coins/reception layer.
 3. **The lockstep scheduler.** :func:`run_bank_batch` drives all lanes
    round by round: transmission coins are drawn as a (trials × nodes)
    batch — one ``Generator.random(out=row)`` per lane against the same
-   per-trial ``("engine", "coins")`` stream the other engines consume,
-   so per-trial draw order is untouched — then compared and bit-packed
-   in one shot. Lanes whose stop condition fires (or whose per-lane
-   ``max_rounds`` cap elapses — caps may differ across lanes) retire
-   from the bank: their RNGs stop drawing, exactly like a serial run
-   ending. The single-message kernels keep event-driven round skipping
-   *on*: provably silent spans fast-forward through
+   per-trial ``("engine", "coins")`` stream the reference engine
+   consumes, so per-trial draw order is untouched — then compared and
+   bit-packed in one shot. Lanes whose stop condition fires (or whose
+   per-lane ``max_rounds`` cap elapses — caps may differ across lanes)
+   retire from the bank: their RNGs stop drawing, exactly like a
+   serial run ending. Event-driven round skipping stays *on*:
+   provably silent spans fast-forward through
    :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span` when
    every observer on a lane accepts the batched quiet-span hook, and
    degrade to per-round records otherwise.
 
-Scope mirrors the bitset engine: oblivious link processes only.
+Scope: oblivious link processes only.
 :func:`~repro.core.engine.create_engine` falls back to the reference
 engine (with :class:`~repro.core.errors.EngineFallbackWarning`) for
 adaptive adversaries.
@@ -71,11 +70,26 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.adversaries.base import (
+    PACKED_ROWS_MAX_N,
+    AdversaryClass,
+    AlgorithmInfo,
+    LinkProcess,
+    ObliviousView,
+)
 from repro.algorithms.decay import decay_ladder
-from repro.core.engine import ExecutionResult, StopCondition
-from repro.core.fastpath import BitsetRadioNetworkEngine
+from repro.core import rng as rng_mod
+from repro.core.engine import (
+    _SKIP_BACKOFF_MAX,
+    ExecutionResult,
+    RadioNetworkEngine,
+    StopCondition,
+)
+from repro.core.errors import EngineError, PlanError
 from repro.core.messages import Message
-from repro.core.trace import Delivery
+from repro.core.process import Process, RoundPlan
+from repro.core.trace import Delivery, Observer, RoundRecord
+from repro.graphs.dual_graph import masks_to_neighbor_matrix
 from repro.obs.recorder import inc as _obs_inc
 from repro.obs.recorder import recorder as _obs_recorder
 
@@ -94,8 +108,26 @@ _AUTO_KERNEL = object()
 #: comfortably inside int64 arithmetic.
 _NEVER = 1 << 62
 
+#: Above this node count the dense reception matrices stop paying for
+#: their O(n²) memory; the bigint candidate scan stays O(n²/64) per
+#: round with no footprint.
+_MATRIX_MAX_N = 2048
+
+#: Distinct round topologies worth a cached matrix. Static and
+#: pattern-cycling adversaries reuse a couple of mask tuples forever;
+#: stochastic adversaries mint a fresh tuple every round and overflow
+#: this budget immediately, which routes them to the batched dense or
+#: bigint path.
+_MATRIX_CACHE_SIZE = 8
+
+#: Above this node count the packed uint64 solo-cover matrices stop
+#: paying for their O(n²/8) memory (32 MiB per topology at the cap).
+#: Shared with the adversaries' eager publication cap so a published
+#: schedule is exactly what this engine consumes.
+_PACKED_MAX_N = PACKED_ROWS_MAX_N
+
 #: Ceiling for the scheduler's per-round dense reception batch: when a
-#: lane's round topology misses the bitset matrix cache (fading
+#: lane's round topology misses the matrix cache (fading
 #: adversaries mint fresh mask tuples every round, so the id-keyed
 #: cache fills and stays cold), the scheduler builds the dense neighbor
 #: matrices for all such lanes in one ``unpackbits`` and resolves them
@@ -1018,9 +1050,10 @@ def build_bank_kernel(banks: Sequence[Sequence]):
     ``banks[t]`` is trial ``t``'s per-node process list. A kernel is
     built only when *every* process of every lane belongs to the same
     supported protocol family with compatible parameters; anything else
-    returns ``None`` and the lanes run their inherited bitset plan
-    stage (still coin/reception-batched by the scheduler — this is a
-    capability probe, not a fallback to a slower engine).
+    returns ``None`` and the lanes run the reference engine's per-node
+    plan and feedback stages (still coin/reception-batched by the
+    scheduler — this is a capability probe, not a fallback to a slower
+    engine).
     """
     if not banks or not banks[0]:
         return None
@@ -1039,15 +1072,17 @@ def build_bank_kernel(banks: Sequence[Sequence]):
 # ----------------------------------------------------------------------
 # Per-trial lane engine
 # ----------------------------------------------------------------------
-class BankRadioNetworkEngine(BitsetRadioNetworkEngine):
+class BankRadioNetworkEngine(RadioNetworkEngine):
     """One lane of a trial bank (also a standalone single-trial engine).
 
-    Construction signature matches the other engines, plus the private
-    ``kernel``/``lane`` pair the batch runner uses to share one
+    Construction signature matches the reference engine, plus the
+    private ``kernel``/``lane`` pair the batch runner uses to share one
     struct-of-arrays kernel across lanes. Built standalone (via
     :func:`~repro.core.engine.create_engine`), the engine probes its
-    own processes for a kernel (a bank of one); without a kernel it
-    behaves exactly like the bitset engine.
+    own processes for a kernel and :meth:`run` drives it as a bank of
+    one lane through :func:`run_bank_batch`. Without a kernel the lane
+    plans and feeds back through the reference engine's own per-node
+    stages; coins, topology, reception and records are this module's.
     """
 
     engine_name = "bank"
@@ -1055,17 +1090,23 @@ class BankRadioNetworkEngine(BitsetRadioNetworkEngine):
     def __init__(
         self,
         network,
-        processes,
-        link_process,
+        processes: Sequence[Process],
+        link_process: LinkProcess,
         *,
         seed: int,
-        algorithm_info=None,
+        algorithm_info: Optional[AlgorithmInfo] = None,
         validate_topologies: bool = True,
-        observers: Sequence = (),
+        observers: Sequence[Observer] = (),
         skip: bool = False,
         kernel=_AUTO_KERNEL,
         lane: int = 0,
     ) -> None:
+        if link_process.adversary_class is not AdversaryClass.OBLIVIOUS:
+            raise EngineError(
+                "BankRadioNetworkEngine serves oblivious link processes only; "
+                f"{link_process.describe()} is {link_process.adversary_class.value} "
+                "(use create_engine, which falls back to the reference engine)"
+            )
         super().__init__(
             network,
             processes,
@@ -1082,63 +1123,135 @@ class BankRadioNetworkEngine(BitsetRadioNetworkEngine):
         self._kernel = kernel
         self._lane = lane
         if kernel is not None and not kernel.supports_skip:
-            # The multi-message kernels replace the per-node plan stage
-            # with struct-of-arrays state, bypassing the signature-class
-            # bookkeeping the skip probe reads — and those protocols are
-            # never provably silent anyway (a node that knows anything
-            # keeps a nonzero duty cycle). The single-message kernels
-            # answer the probe themselves and keep skipping on.
+            # The multi-message kernels are never provably silent (a
+            # node that knows anything keeps a nonzero duty cycle), so
+            # their lanes run with skipping off. The single-message
+            # kernels answer the skip probe themselves.
             self.skip = False
+        # Kernel-less lanes: this round's plans and their exact sum
+        # (from the reference plan stage), the reference skip licence,
+        # and the reference loop's back-off for failed O(n) probes.
+        self._plans: list[RoundPlan] = []
+        self._expected = 0.0
+        self._feedback_skip_ok = kernel is None and self._skip_ok()
+        self._next_probe = 0
+        self._probe_backoff = 1
+        # Reception state. Transmitter j is encoded as 1 + (j+1)(n+1),
+        # so one matvec yields, per listener, both the transmitting-
+        # neighbor count (mod n+1) and — when that count is 1 — the
+        # sender id (div n+1). Totals stay integral and far below 2⁵³,
+        # hence exact in float64.
+        n = network.n
+        self._x_buffer = np.empty(n, dtype=np.float64)
+        self._sender_encoding = 1.0 + np.arange(1, n + 1, dtype=np.float64) * (n + 1)
+        self._matrix_cache: dict[int, np.ndarray] = {}
+        self._matrix_keepalive: list = []
+        self._validated_topologies: dict[int, object] = {}
+        # Packed uint64 neighborhood matrices for the skip-gated
+        # solo-cover reception (n beyond the dense-matrix cap).
+        self._packed_cache: dict[int, np.ndarray] = {}
+        self._packed_keepalive: list = []
 
-    # Stage overrides: with a kernel, plans and feedback come from the
-    # struct-of-arrays state; everything else (coins, topology,
-    # reception, records) is inherited unchanged.
+    # ------------------------------------------------------------------
+    # Runs go through the lockstep scheduler
+    # ------------------------------------------------------------------
+    def run(self, *, max_rounds: int, stop: Optional[StopCondition] = None) -> ExecutionResult:
+        """Execute rounds until ``stop()`` fires or ``max_rounds`` elapse.
+
+        A bank of one: the same loop :func:`run_bank_batch` drives for
+        a whole seed bank, so there is one fast round and skip loop.
+        """
+        return run_bank_batch([BankLane(engine=self, stop=stop)], max_rounds=max_rounds)[0]
+
+    def step(self) -> RoundRecord:
+        """Execute exactly one round and return its record."""
+        self._ensure_started()
+        r = self._round
+        ph = self._phase_ns if self._trace is not None else None
+        if ph is not None:
+            t0 = perf_counter_ns()
+        probs = self._plan_probs(r)
+        expected = self._expected_sum(probs)
+        if ph is not None:
+            t1 = perf_counter_ns()
+            ph["plan"] += t1 - t0
+            t0 = t1
+        transmit, transmitter_mask = rng_mod.transmission_coins(self._coin_rng, probs)
+        if ph is not None:
+            ph["coins"] += perf_counter_ns() - t0
+        return self._finish_round(r, transmit, transmitter_mask, expected)
+
+    # ------------------------------------------------------------------
+    # Plan and feedback: the kernel, or the reference per-node stages
+    # ------------------------------------------------------------------
     def _plan_probs(self, r: int) -> np.ndarray:
-        if self._kernel is None:
-            return super()._plan_probs(r)
-        return self._kernel.probabilities(r)[self._lane]
+        """Stage 1: the round's per-node transmission probabilities."""
+        if self._kernel is not None:
+            return self._kernel.probabilities(r)[self._lane]
+        self._plans, probabilities, self._expected = self._plan_stage(r)
+        return np.asarray(probabilities, dtype=np.float64)
 
-    def _message_for(self, u: int) -> Message:
-        if self._kernel is None:
-            return super()._message_for(u)
-        return self._kernel.message_for(self._lane, u)
-
-    def _apply_feedback(self, r: int, transmitter_mask: int, deliveries) -> None:
-        if self._kernel is None:
-            super()._apply_feedback(r, transmitter_mask, deliveries)
-        elif deliveries:
-            # Kernel families promise idle/transmit feedback no-ops
-            # (checked by eligibility: exact process types only), so
-            # only receivers carry state changes.
-            self._kernel.apply_feedback(self._lane, r, deliveries)
-
-    # Skip-probe overrides: a skip-capable kernel answers from its
-    # struct-of-arrays state instead of the signature-class bookkeeping
-    # (which kernel lanes never maintain).
-    def _expected_exact(self, probs: np.ndarray) -> float:
+    def _expected_sum(self, probs: np.ndarray) -> float:
+        """The round's expected transmitter count, bit-identical to fsum."""
         kernel = self._kernel
         if kernel is None:
-            return super()._expected_exact(probs)
+            return self._expected
         if kernel.supports_skip:
             return kernel.expected_exact(self._lane, kernel._r)
         return math.fsum(probs.tolist())
 
-    def _quiescent(self) -> bool:
+    def _message_for(self, u: int) -> Message:
+        """The message transmitter ``u`` put on the air this round."""
+        if self._kernel is not None:
+            return self._kernel.message_for(self._lane, u)
+        message = self._plans[u].message
+        if message is None:  # pragma: no cover - PlanError guards this
+            raise PlanError(f"transmitter {u} has no message")
+        return message
+
+    def _apply_feedback(
+        self, r: int, transmitter_mask: int, deliveries: Sequence[Delivery]
+    ) -> None:
+        """Stage 5: kernel lanes see receptions only (their eligibility
+        pins process types whose idle/transmit feedback are no-ops);
+        kernel-less lanes run the reference feedback stage."""
         if self._kernel is None:
-            return super()._quiescent()
-        # Eligibility pinned process types whose idle/transmit feedback
-        # are no-ops and whose state changes ride deliveries only — an
-        # all-silent round cannot change kernel state.
+            self._feedback_stage(r, transmitter_mask, deliveries)
+        elif deliveries:
+            self._kernel.apply_feedback(self._lane, r, deliveries)
+
+    # ------------------------------------------------------------------
+    # Skip probes
+    # ------------------------------------------------------------------
+    def _quiescent(self) -> bool:
+        """Whether an all-silent round left nothing that can react."""
+        if self._kernel is None:
+            return self._feedback_skip_ok
+        # Kernel state changes ride deliveries only, and an all-silent
+        # round delivers nothing.
         return self._kernel.supports_skip
 
     def _skip_horizon(self, r: int, limit: int) -> int:
-        if self._kernel is None:
-            return super()._skip_horizon(r, limit)
+        """First round in ``(r, limit]`` at which anything may change,
+        probed right after an all-silent round ``r``."""
+        kernel = self._kernel
+        if kernel is None:
+            # The reference probe polls every process, so failed
+            # attempts back off exactly as the reference loop does.
+            if r + 1 < self._next_probe:
+                return r + 1
+            h = self._quiet_horizon(r, limit)
+            if h <= r + 1:
+                self._next_probe = r + 1 + self._probe_backoff
+                self._probe_backoff = min(self._probe_backoff * 2, _SKIP_BACKOFF_MAX)
+            else:
+                self._probe_backoff = 1
+            return h
         h = limit
         boundary = self.link_process.next_boundary(r)
         if boundary is not None and boundary < h:
             h = boundary
-        nxt = self._kernel.next_state_change(self._lane, r)
+        nxt = kernel.next_state_change(self._lane, r)
         if nxt is not None and nxt < h:
             h = nxt
         return max(h, r + 1)
@@ -1149,11 +1262,10 @@ class BankRadioNetworkEngine(BitsetRadioNetworkEngine):
         Only a skip-capable kernel can prove the coming span silent
         without executing any of it — its schedule lives in
         struct-of-arrays state (slot gaps, pending phase boundaries),
-        whereas the generic signature bookkeeping infers silence from
-        an executed silent round and so offers no licence here. Clamped
-        like :meth:`_skip_horizon`: the adversary's purity boundary
-        gates eliding its ``choose_topology`` calls, the cap gates the
-        span.
+        whereas the per-node probe infers silence from an executed
+        silent round and so offers no licence here. Clamped like
+        :meth:`_skip_horizon`: the adversary's purity boundary gates
+        eliding its ``choose_topology`` calls, the cap gates the span.
         """
         kernel = self._kernel
         if kernel is None or not kernel.supports_skip or not self.skip:
@@ -1164,6 +1276,257 @@ class BankRadioNetworkEngine(BitsetRadioNetworkEngine):
         if boundary is not None and boundary < h:
             h = boundary
         return max(h, r + 1)
+
+    # ------------------------------------------------------------------
+    # Topology, reception, record keeping
+    # ------------------------------------------------------------------
+    def _choose_topology(self, r: int):
+        """Stage 3: oblivious adversaries see the clock only."""
+        topology = self.link_process.choose_topology(ObliviousView(round_index=r))
+        if self.validate_topologies:
+            key = id(topology.masks)
+            if key not in self._validated_topologies:
+                topology.validate(self.network)
+                # Remember only a bounded set of validated mask tuples
+                # (they are pinned to keep ids unique): pattern-reusing
+                # adversaries hit the cache forever, while churning
+                # ones simply revalidate per round — exactly the
+                # reference engine's behavior — instead of pinning one
+                # tuple per round for the whole execution.
+                if len(self._validated_topologies) < _MATRIX_CACHE_SIZE:
+                    self._validated_topologies[key] = topology.masks
+        return topology
+
+    def _resolve(
+        self, transmit: np.ndarray, transmitter_mask: int, topology
+    ) -> list[Delivery]:
+        """Stage 4: exactly-one-transmitting-neighbor reception."""
+        if not transmitter_mask:
+            return []
+        matrix = self._matrix_for(topology.masks)
+        if matrix is not None:
+            return self._resolve_with_matrix(transmit, matrix)
+        if self.skip:
+            packed = self._packed_for(topology)
+            if packed is not None:
+                return self._resolve_packed(transmitter_mask, topology.masks, packed)
+        return self._resolve_candidates(transmitter_mask, topology.masks)
+
+    def _finish_round(
+        self,
+        r: int,
+        transmit: np.ndarray,
+        transmitter_mask: int,
+        expected: float,
+        topology=None,
+        deliveries: Optional[list[Delivery]] = None,
+    ) -> RoundRecord:
+        """Stages 3–6: topology, reception, feedback, record keeping.
+
+        The bank scheduler passes ``topology``/``deliveries`` when it
+        already resolved them (batched matvec reception across lanes
+        that share a round topology); left as ``None``, the stages run
+        per engine exactly as in a standalone ``step``.
+        """
+        ph = self._phase_ns if self._trace is not None else None
+        if ph is not None:
+            t0 = perf_counter_ns()
+        if topology is None:
+            topology = self._choose_topology(r)
+            if ph is not None:
+                t1 = perf_counter_ns()
+                ph["adversary"] += t1 - t0
+                t0 = t1
+        if deliveries is None:
+            deliveries = self._resolve(transmit, transmitter_mask, topology)
+            if ph is not None:
+                t1 = perf_counter_ns()
+                ph["reception"] += t1 - t0
+                t0 = t1
+        self._apply_feedback(r, transmitter_mask, deliveries)
+        if ph is not None:
+            t1 = perf_counter_ns()
+            ph["feedback"] += t1 - t0
+            t0 = t1
+
+        record = self._record_stage(r, transmitter_mask, deliveries, expected)
+        if ph is not None:
+            ph["observers"] += perf_counter_ns() - t0
+            counts = self._trace_counts
+            counts["rounds.executed"] = counts.get("rounds.executed", 0) + 1
+        return record
+
+    def _matrix_for(self, masks: tuple[int, ...]) -> Optional[np.ndarray]:
+        """Dense neighbor matrix for a round topology, if worth caching."""
+        network = self.network
+        counts = self._trace_counts if self._trace is not None else None
+        if network.n > _MATRIX_MAX_N:
+            return None
+        if masks is network.g_masks or masks is network.gp_masks:
+            if counts is not None:
+                counts["cache.matrix.hit"] = counts.get("cache.matrix.hit", 0) + 1
+            return network.neighbor_matrix(use_gp=masks is network.gp_masks)
+        key = id(masks)
+        matrix = self._matrix_cache.get(key)
+        if matrix is not None:
+            if counts is not None:
+                counts["cache.matrix.hit"] = counts.get("cache.matrix.hit", 0) + 1
+            return matrix
+        if counts is not None:
+            counts["cache.matrix.miss"] = counts.get("cache.matrix.miss", 0) + 1
+        if len(self._matrix_cache) >= _MATRIX_CACHE_SIZE:
+            return None  # topology churn: the bigint scan is cheaper
+        matrix = masks_to_neighbor_matrix(masks, network.n)
+        self._matrix_cache[key] = matrix
+        # Cache keys are id()s: pin the tuples so ids stay unique.
+        self._matrix_keepalive.append(masks)
+        return matrix
+
+    def _resolve_with_matrix(
+        self, transmit: np.ndarray, matrix: np.ndarray
+    ) -> list[Delivery]:
+        """Reception via one matvec over the count/sender encoding."""
+        x = self._x_buffer
+        np.copyto(x, transmit)
+        totals = (matrix @ (x * self._sender_encoding)).astype(np.int64)
+        modulus = self.network.n + 1
+        solo = (totals % modulus == 1) & (x == 0.0)
+        receivers = np.nonzero(solo)[0]
+        if receivers.size == 0:
+            return []
+        senders = totals[receivers] // modulus - 1
+        deliveries: list[Delivery] = []
+        message_for = self._message_for
+        for u, sender in zip(receivers.tolist(), senders.tolist()):
+            deliveries.append(
+                Delivery(receiver=u, sender=sender, message=message_for(sender))
+            )
+        return deliveries
+
+    def _resolve_candidates(
+        self, transmitter_mask: int, masks: Sequence[int]
+    ) -> list[Delivery]:
+        """The paper's bitset rule over candidate listeners only.
+
+        A listener can receive only if some transmitter neighbors it,
+        so the scan covers the union of the transmitters' neighborhoods
+        instead of all ``n`` nodes — the word-parallel
+        ``popcount(X & mask[u]) == 1`` test then picks out solo
+        receptions exactly as the reference loop does.
+        """
+        reach = 0
+        t = transmitter_mask
+        while t:
+            low = t & -t
+            reach |= masks[low.bit_length() - 1]
+            t ^= low
+        candidates = reach & ~transmitter_mask
+        deliveries: list[Delivery] = []
+        message_for = self._message_for
+        while candidates:
+            low = candidates & -candidates
+            u = low.bit_length() - 1
+            candidates ^= low
+            neighbors_transmitting = transmitter_mask & masks[u]
+            if neighbors_transmitting and not (
+                neighbors_transmitting & (neighbors_transmitting - 1)
+            ):
+                sender = neighbors_transmitting.bit_length() - 1
+                deliveries.append(
+                    Delivery(receiver=u, sender=sender, message=message_for(sender))
+                )
+        return deliveries
+
+    def _packed_for(self, topology) -> Optional[np.ndarray]:
+        """Word-packed ``(n, n//64)`` neighborhood matrix, if cached.
+
+        The dense count/sender matvec stops paying for itself beyond
+        ``_MATRIX_MAX_N``; up to ``_PACKED_MAX_N`` the uint64-packed
+        rows keep reception word-parallel (64 listeners per machine
+        word) with a footprint of ``n²/8`` bytes instead of ``8n²``.
+        Same id-keyed cache discipline as :meth:`_matrix_for`; the rows
+        themselves come from :meth:`RoundTopology.packed_rows`, so a
+        schedule an adversary published in ``start()`` is shared across
+        every engine lane rather than re-packed per engine.
+        """
+        n = self.network.n
+        if n > _PACKED_MAX_N:
+            return None
+        counts = self._trace_counts if self._trace is not None else None
+        masks = topology.masks
+        key = id(masks)
+        packed = self._packed_cache.get(key)
+        if packed is not None:
+            if counts is not None:
+                counts["cache.packed.hit"] = counts.get("cache.packed.hit", 0) + 1
+            return packed
+        if counts is not None:
+            counts["cache.packed.miss"] = counts.get("cache.packed.miss", 0) + 1
+        if len(self._packed_cache) >= _MATRIX_CACHE_SIZE:
+            return None  # topology churn: the bigint scan is cheaper
+        packed = topology.packed_rows()
+        self._packed_cache[key] = packed
+        self._packed_keepalive.append(masks)
+        return packed
+
+    def _resolve_packed(
+        self, transmitter_mask: int, masks: Sequence[int], packed: np.ndarray
+    ) -> list[Delivery]:
+        """Reception via a saturating popcount over packed rows.
+
+        By topology symmetry, listener ``v`` hears solo transmitter
+        ``u`` iff bit ``v`` is set in row ``u``; a tree reduction over
+        the transmitters' rows carries (covered-once, covered-twice)
+        word pairs — combine is ``(a1|b1, a2|b2|(a1&b1))`` — so
+        ``cover & ~twice`` marks exactly the listeners with one
+        transmitting neighbor.
+        """
+        if not (transmitter_mask & (transmitter_mask - 1)):
+            # Single transmitter: its neighborhood row is the solo set.
+            u = transmitter_mask.bit_length() - 1
+            message = self._message_for(u)
+            receivers = masks[u] & ~transmitter_mask
+            deliveries: list[Delivery] = []
+            while receivers:
+                low = receivers & -receivers
+                receivers ^= low
+                deliveries.append(
+                    Delivery(
+                        receiver=low.bit_length() - 1, sender=u, message=message
+                    )
+                )
+            return deliveries
+        t_ids = []
+        t = transmitter_mask
+        while t:
+            low = t & -t
+            t_ids.append(low.bit_length() - 1)
+            t ^= low
+        cover = packed[t_ids]
+        twice = np.zeros_like(cover)
+        while cover.shape[0] > 1:
+            half = cover.shape[0] // 2
+            a1, b1 = cover[:half], cover[half : 2 * half]
+            a2, b2 = twice[:half], twice[half : 2 * half]
+            new_cover = a1 | b1
+            new_twice = a2 | b2 | (a1 & b1)
+            if cover.shape[0] & 1:
+                new_cover = np.concatenate([new_cover, cover[-1:]])
+                new_twice = np.concatenate([new_twice, twice[-1:]])
+            cover, twice = new_cover, new_twice
+        solo = int.from_bytes((cover[0] & ~twice[0]).tobytes(), "little")
+        solo &= ~transmitter_mask
+        deliveries = []
+        message_for = self._message_for
+        while solo:
+            low = solo & -solo
+            u = low.bit_length() - 1
+            solo ^= low
+            sender = (masks[u] & transmitter_mask).bit_length() - 1
+            deliveries.append(
+                Delivery(receiver=u, sender=sender, message=message_for(sender))
+            )
+        return deliveries
 
 
 # ----------------------------------------------------------------------
@@ -1198,8 +1561,8 @@ def run_bank_batch(
     * plans: kernel-backed lanes share one (T, n) probability batch,
       and skip-capable kernels answer the expected-transmitter sum in
       O(1) (bit-identical to fsum) instead of an O(n) reduction;
-    * reception: lanes whose topology hits the bitset matrix cache
-      resolve by cached matvec; cache misses (per-round fading masks)
+    * reception: lanes whose topology hits the matrix cache resolve by
+      cached matvec; cache misses (per-round fading masks)
       are folded into one dense batched matvec for the whole bank; only
       networks past ``_DENSE_BATCH_MAX_N`` fall back to the per-lane
       scan over the adversary's published packed mask rows.
@@ -1213,8 +1576,8 @@ def run_bank_batch(
     the spans in which *all surviving* lanes are provably silent: the
     lockstep schedule means a skip is licensed only up to the earliest
     horizon across lanes (``min`` of the per-lane
-    :meth:`~repro.core.fastpath.BitsetRadioNetworkEngine._skip_horizon`
-    probes, each clamped to its own cap). A lane whose observers all
+    :meth:`BankRadioNetworkEngine._skip_horizon` probes, each clamped
+    to its own cap). A lane whose observers all
     accept the batched quiet-span hook emits the span through one
     :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span`
     (one RNG jump-ahead, one observer call); any other lane emits round
@@ -1223,6 +1586,11 @@ def run_bank_batch(
     """
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
+    # Lanes run in lockstep from a shared round index (0 for fresh
+    # engines; a standalone engine may have stepped before its run()).
+    origin = lanes[0].engine.round_index if lanes else 0
+    if any(lane.engine.round_index != origin for lane in lanes):
+        raise ValueError("bank lanes must all be at the same round index")
     results: list[Optional[ExecutionResult]] = [None] * len(lanes)
     active: list[int] = []
     caps: list[int] = []
@@ -1282,7 +1650,7 @@ def run_bank_batch(
             active = [i for i in active if caps[i] > executed]
             if not active:
                 break
-        r = executed
+        r = origin + executed
         m = len(active)
         coins = coin_buffer[:m]
         probs = prob_buffer[:m]
@@ -1316,7 +1684,7 @@ def run_bank_batch(
             _credit("coins", perf_counter_ns() - t0, active)
 
         # Stage 3 per lane; stage 4 batched. Lanes whose topology hits
-        # the bitset matrix cache (static adversaries, shared graphs)
+        # the matrix cache (static adversaries, shared graphs)
         # resolve by cached matvec; lanes that miss it (fading
         # adversaries mint fresh mask tuples every round, so the
         # id-keyed cache fills and stays cold) are folded into ONE
@@ -1394,13 +1762,13 @@ def run_bank_batch(
                 )
 
         # Stages 3–6 per lane (topology/deliveries reused when batched).
-        # The expected-transmitter sum goes through each engine's exact
-        # class/kernel reduction — bit-identical to fsum, O(1) for the
-        # single-message kernels instead of an O(n) per-lane pass.
+        # The expected-transmitter sum is each lane's fsum (from the
+        # plan stage on kernel-less lanes) or its kernel's exact
+        # reduction — O(1) for the single-message kernels.
         if traced:
             t0 = perf_counter_ns()
         expecteds = [
-            lanes[i].engine._expected_exact(probs[j]) for j, i in enumerate(active)
+            lanes[i].engine._expected_sum(probs[j]) for j, i in enumerate(active)
         ]
         if traced:
             _credit("plan", perf_counter_ns() - t0, active)
@@ -1417,7 +1785,7 @@ def run_bank_batch(
             )
             if lane.stop is not None and lane.stop():
                 results[i] = ExecutionResult(
-                    rounds=r + 1, solved=True, solve_round=record.round_index
+                    rounds=executed + 1, solved=True, solve_round=record.round_index
                 )
             else:
                 survivors.append((j, i))
@@ -1431,7 +1799,7 @@ def run_bank_batch(
         if traced:
             ts = perf_counter_ns()
             probed = active
-        start = executed  # == r + 1: every lane's next round, lockstep
+        start = r + 1  # every lane's next round, lockstep
         if (
             all(masks[j] == 0 for j, _ in survivors)
             and all(expecteds[j] == 0.0 for j, _ in survivors)
@@ -1441,7 +1809,9 @@ def run_bank_batch(
             # exact expected sum of non-negative probabilities is 0.0
             # iff each term is) and quiescent: fast-forward to the
             # earliest per-lane skip horizon (each clamped to its cap).
-            h = min(lanes[i].engine._skip_horizon(r, caps[i]) for i in active)
+            h = min(
+                lanes[i].engine._skip_horizon(r, origin + caps[i]) for i in active
+            )
         else:
             # The round was active somewhere, but skip-capable kernels
             # can still prove the coming span silent from schedule
@@ -1449,7 +1819,9 @@ def run_bank_batch(
             # skipping straight from one slot round to the next instead
             # of executing a probe round in between. One lane without a
             # licence keeps the lockstep stepping round by round.
-            horizons = [lanes[i].engine._silent_horizon(r, caps[i]) for i in active]
+            horizons = [
+                lanes[i].engine._silent_horizon(r, origin + caps[i]) for i in active
+            ]
             if any(horizon is None for horizon in horizons):
                 if traced:
                     _credit("skip", perf_counter_ns() - ts, probed)
@@ -1476,7 +1848,7 @@ def run_bank_batch(
                 record = engine._emit_quiet_round(quiet_round)
                 if lane.stop is not None and lane.stop():
                     results[i] = ExecutionResult(
-                        rounds=quiet_round + 1,
+                        rounds=quiet_round - origin + 1,
                         solved=True,
                         solve_round=record.round_index,
                     )
@@ -1485,7 +1857,7 @@ def run_bank_batch(
             if not retired:
                 still_active.append(i)
         active = still_active
-        executed = h
+        executed = h - origin
         if traced:
             _credit("skip", perf_counter_ns() - ts, probed)
     if traced:

@@ -26,10 +26,12 @@ interleave game guesses between simulated rounds.
 
 :class:`RadioNetworkEngine` is the **reference** implementation — the
 straight-line per-node loop that everything else is audited against.
-A seed-for-seed identical vectorized implementation (the ``bitset``
-fast path) lives in :mod:`repro.core.fastpath`; select between them
-with :func:`create_engine` (or the ``engine=`` field on
-:class:`~repro.api.spec.ScenarioSpec` and the CLI's ``--engine``).
+The one fast engine, the seed-for-seed identical trial-batched
+``bank`` engine, lives in :mod:`repro.core.bankpath` and reuses the
+per-node plan and feedback stages below for algorithms without a
+vectorized kernel. Select between them with :func:`create_engine` (or
+the ``engine=`` field on :class:`~repro.api.spec.ScenarioSpec` and the
+CLI's ``--engine``); ``"bitset"`` is a deprecated alias for ``"bank"``.
 """
 
 from __future__ import annotations
@@ -68,10 +70,13 @@ __all__ = [
     "ENGINE_NAMES",
     "create_engine",
     "resolve_engine_choice",
+    "canonical_engine",
 ]
 
-#: Engine implementations selectable via ``create_engine`` /
-#: ``ScenarioSpec(engine=...)`` / ``repro ... --engine``.
+#: Engine names accepted by ``create_engine`` /
+#: ``ScenarioSpec(engine=...)`` / ``repro ... --engine``. ``"bitset"``
+#: stays valid for stored specs and campaigns but selects the bank
+#: engine (see :func:`canonical_engine`).
 ENGINE_NAMES = ("reference", "bitset", "bank")
 
 #: Predicate deciding, after each round, whether the execution is done.
@@ -205,7 +210,7 @@ class RadioNetworkEngine:
         while the coin stream is advanced in lockstep, so the trace —
         records, history, RNG positions — stays bit-identical to a
         non-skipping run. Off by default here; :func:`create_engine`
-        turns it on for the fast engines.
+        turns it on for the bank engine.
     """
 
     #: Name this implementation reports in trace records (one of
@@ -289,18 +294,13 @@ class RadioNetworkEngine:
             t0 = perf_counter_ns()
 
         # 1. Deterministic plans.
-        plans: list[RoundPlan] = [process.plan(r) for process in self.processes]
-        probabilities = [plan.probability for plan in plans]
-        # fsum is exactly rounded and therefore order-independent, so
-        # the bitset fast path — which discovers the same probability
-        # multiset in a different order — records bit-identical values.
-        expected = math.fsum(probabilities)
+        plans, probabilities, expected = self._plan_stage(r)
         if ph is not None:
             t1 = perf_counter_ns()
             ph["plan"] += t1 - t0
             t0 = t1
 
-        # 2. Vectorized Bernoulli coins (shared with the fast path).
+        # 2. Vectorized Bernoulli coins (shared with the bank engine).
         _, transmitter_mask = rng_mod.transmission_coins(
             self._coin_rng, np.asarray(probabilities, dtype=np.float64)
         )
@@ -327,17 +327,52 @@ class RadioNetworkEngine:
             t0 = t1
 
         # 5. Feedback to processes.
-        received_by: dict[int, Delivery] = {d.receiver: d for d in deliveries}
-        for u, process in enumerate(self.processes):
-            sent = bool((transmitter_mask >> u) & 1)
-            delivery = received_by.get(u)
-            process.on_feedback(r, sent, delivery.message if delivery else None)
+        self._feedback_stage(r, transmitter_mask, deliveries)
         if ph is not None:
             t1 = perf_counter_ns()
             ph["feedback"] += t1 - t0
             t0 = t1
 
         # 6. Record keeping.
+        record = self._record_stage(r, transmitter_mask, deliveries, expected)
+        if ph is not None:
+            ph["observers"] += perf_counter_ns() - t0
+            counts = self._trace_counts
+            counts["rounds.executed"] = counts.get("rounds.executed", 0) + 1
+        return record
+
+    # The per-node stages, shared with the bank engine
+    # (:mod:`repro.core.bankpath`): its kernel-less lanes run the same
+    # plan and feedback code, and every lane the same record keeping.
+    def _plan_stage(self, r: int) -> tuple[list[RoundPlan], list[float], float]:
+        """Stage 1: every node's plan, its probability, and their sum.
+
+        The sum is ``math.fsum``, which is exactly rounded and hence
+        order-independent: a kernel that finds the same probability
+        multiset another way records bit-identical values.
+        """
+        plans = [process.plan(r) for process in self.processes]
+        probabilities = [plan.probability for plan in plans]
+        return plans, probabilities, math.fsum(probabilities)
+
+    def _feedback_stage(
+        self, r: int, transmitter_mask: int, deliveries: Sequence[Delivery]
+    ) -> None:
+        """Stage 5: one ``on_feedback`` call per node."""
+        received_by: dict[int, Delivery] = {d.receiver: d for d in deliveries}
+        for u, process in enumerate(self.processes):
+            sent = bool((transmitter_mask >> u) & 1)
+            delivery = received_by.get(u)
+            process.on_feedback(r, sent, delivery.message if delivery else None)
+
+    def _record_stage(
+        self,
+        r: int,
+        transmitter_mask: int,
+        deliveries: Sequence[Delivery],
+        expected: float,
+    ) -> RoundRecord:
+        """Stage 6: the round's record, its history entry, observers."""
         record = RoundRecord(
             round_index=r,
             transmitter_mask=transmitter_mask,
@@ -349,10 +384,6 @@ class RadioNetworkEngine:
             observer.on_round(record)
         self._round += 1
         self._stats.rounds_run += 1
-        if ph is not None:
-            ph["observers"] += perf_counter_ns() - t0
-            counts = self._trace_counts
-            counts["rounds.executed"] = counts.get("rounds.executed", 0) + 1
         return record
 
     def _history_snapshot(self) -> _HistoryWindow:
@@ -566,6 +597,18 @@ class RadioNetworkEngine:
             counts["skip.spans"] = counts.get("skip.spans", 0) + 1
             self._trace.observe("skip.span_rounds", stop - start)
 
+    def _skip_ok(self) -> bool:
+        """Whether silent rounds may elide this engine's feedback calls.
+
+        Licensed per process class by ``idle_feedback_noop``, or by not
+        overriding ``on_feedback`` at all.
+        """
+        return all(
+            type(p).idle_feedback_noop
+            or type(p).on_feedback is Process.on_feedback
+            for p in self.processes
+        )
+
     def _quiet_horizon(self, r: int, limit: int) -> int:
         """First round in ``(r, limit]`` at which anything may change.
 
@@ -599,19 +642,13 @@ class RadioNetworkEngine:
         non-negative terms is zero iff every term is) the engine
         fast-forwards to the quiet horizon. The span's elisions are
         licensed contract by contract: per-node ``on_feedback`` calls
-        by ``idle_feedback_noop`` — or by not overriding
-        ``on_feedback`` at all, the same automatic detection the
-        bitset engine applies (checked across all classes up front) —
+        by :meth:`_skip_ok` (checked across all classes up front),
         ``plan`` calls by ``next_state_change``, and
         ``choose_topology`` calls by ``next_boundary`` — round ``r``
         itself always ran normally, so stateful adversaries stay in
         sync.
         """
-        skip_ok = all(
-            type(p).idle_feedback_noop
-            or type(p).on_feedback is Process.on_feedback
-            for p in self.processes
-        )
+        skip_ok = self._skip_ok()
         executed = 0
         backoff = 1
         next_attempt = self._round
@@ -691,6 +728,16 @@ def _skip_contract_gaps(
     return gaps
 
 
+def canonical_engine(name: str) -> str:
+    """The implementation an engine name selects.
+
+    ``"bitset"`` is a deprecated alias for ``"bank"``: stored specs and
+    campaigns keep the name as written (it is part of their hash and
+    labels), but no code of its own runs for it.
+    """
+    return "bank" if name == "bitset" else name
+
+
 def resolve_engine_choice(
     engine: str,
     processes: Sequence[Process],
@@ -705,8 +752,11 @@ def resolve_engine_choice(
     would emit, exposed separately so executors can probe the outcome
     once per scenario (and warn once) instead of once per trial.
 
-    ``skip=None`` resolves to the engine's default: on for the fast
-    engines, off for the reference engine. Two fallbacks apply, in
+    The returned name is the implementation that runs: ``"bitset"``
+    resolves to ``"bank"`` (:func:`canonical_engine`).
+
+    ``skip=None`` resolves to the engine's default: on for the bank
+    engine, off for the reference engine. Two fallbacks apply, in
     order: adaptive link processes force the reference engine (their
     views are entitled to per-node plan introspection), and a component
     lacking the skip contract forces ``skip=False``.
@@ -716,8 +766,8 @@ def resolve_engine_choice(
             f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
         )
     notes: list[str] = []
-    resolved = engine
-    if engine in ("bitset", "bank") and (
+    resolved = canonical_engine(engine)
+    if resolved == "bank" and (
         link_process.adversary_class is not AdversaryClass.OBLIVIOUS
     ):
         notes.append(
@@ -726,7 +776,7 @@ def resolve_engine_choice(
             "need per-node plan introspection, using the reference engine"
         )
         resolved = "reference"
-    resolved_skip = resolved in ("bitset", "bank") if skip is None else bool(skip)
+    resolved_skip = resolved == "bank" if skip is None else bool(skip)
     if resolved_skip:
         gaps = _skip_contract_gaps(processes, link_process)
         if gaps:
@@ -761,26 +811,26 @@ def create_engine(
     """Build the requested engine implementation for one execution.
 
     ``engine="reference"`` is the straight-line round loop above;
-    ``engine="bitset"`` is the vectorized fast path of
-    :mod:`repro.core.fastpath`; ``engine="bank"`` is the trial-batched
-    struct-of-arrays kernel of :mod:`repro.core.bankpath` (a bitset
-    subclass — for the single execution built here it acts as one lane
-    of a bank of one; the cross-trial batching engages when an executor
-    hands a whole seed bank to :func:`repro.core.bankpath.run_bank_batch`).
-    Both fast engines are seed-for-seed identical to the reference
-    engine (same coin stream, same records, same results) but only
-    serve *oblivious* link processes. Requesting either against an
-    online/offline adaptive adversary falls back to the reference
-    engine with an :class:`EngineFallbackWarning` — adaptive views are
-    entitled to per-node plan introspection every round, which is
-    precisely the per-node work the fast paths elide.
+    ``engine="bank"`` is the trial-batched struct-of-arrays engine of
+    :mod:`repro.core.bankpath` — for the single execution built here
+    it runs as a bank of one lane; the cross-trial batching engages
+    when an executor hands a whole seed bank to
+    :func:`repro.core.bankpath.run_bank_batch`. ``engine="bitset"`` is
+    a deprecated alias for ``"bank"``. The bank engine is seed-for-seed
+    identical to the reference engine (same coin stream, same records,
+    same results) but only serves *oblivious* link processes.
+    Requesting it against an online/offline adaptive adversary falls
+    back to the reference engine with an
+    :class:`EngineFallbackWarning` — adaptive views are entitled to
+    per-node plan introspection every round, which is precisely the
+    per-node work the kernels elide.
 
     ``skip`` controls event-driven round skipping (``None`` = the
-    engine's default: on for ``bitset``/``bank``, off for
-    ``reference``); a component lacking the skip contract downgrades it
-    to ``False`` with an :class:`EngineFallbackWarning`. ``label``
-    names the scenario in those warnings, and ``warn=False`` suppresses
-    them entirely (executors probe the outcome once per scenario via
+    engine's default: on for ``bank``, off for ``reference``); a
+    component lacking the skip contract downgrades it to ``False``
+    with an :class:`EngineFallbackWarning`. ``label`` names the
+    scenario in those warnings, and ``warn=False`` suppresses them
+    entirely (executors probe the outcome once per scenario via
     :func:`resolve_engine_choice` and warn there instead).
     """
     resolved, resolved_skip, notes = resolve_engine_choice(
@@ -796,10 +846,6 @@ def create_engine(
         from repro.core.bankpath import BankRadioNetworkEngine
 
         engine_cls: type = BankRadioNetworkEngine
-    elif resolved == "bitset":
-        from repro.core.fastpath import BitsetRadioNetworkEngine
-
-        engine_cls = BitsetRadioNetworkEngine
     else:
         engine_cls = RadioNetworkEngine
     return engine_cls(

@@ -85,14 +85,15 @@ class EngineError(ReproError):
 
 
 class EngineFallbackWarning(RuntimeWarning):
-    """The bitset fast path declined a scenario and used the reference engine.
+    """The bank engine declined a scenario and used the reference engine.
 
     Emitted by :func:`repro.core.engine.create_engine` when
-    ``engine="bitset"`` is requested against an *adaptive* link process:
-    online/offline adaptive adversaries are entitled to per-node plan
-    introspection (the declared probability vector, and for offline
-    adversaries the realized coins) every round, which is exactly the
-    per-node materialization the fast path exists to avoid. Results are
+    ``engine="bank"`` (or its deprecated alias ``"bitset"``) is
+    requested against an *adaptive* link process: online/offline
+    adaptive adversaries are entitled to per-node plan introspection
+    (the declared probability vector, and for offline adversaries the
+    realized coins) every round, which is exactly the per-node
+    materialization the bank kernels exist to avoid. Results are
     unaffected — the reference engine is used instead.
 
     A deliberate :class:`RuntimeWarning` rather than a ``ReproError``

@@ -95,7 +95,7 @@ class KnowledgeVector:
         return [u for u in range(self.n) if not self.knows(u, index)]
 
     def progress(self) -> float:
-        """Fraction of the ``n·k`` knowledge facts established."""
+        """Share of the ``n·k`` knowledge facts established."""
         return sum(self._holders) / (self.n * self.k)
 
     def first_incomplete(self) -> Optional[int]:

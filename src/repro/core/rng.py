@@ -128,9 +128,10 @@ def transmission_coins(
     set iff node ``u`` transmits).
 
     This is the *single* place transmission coins are realized: the
-    reference and bitset engines both call it against the same
-    ``("engine", "coins")`` child stream, which is what makes them
-    seed-for-seed identical by construction.
+    reference engine and the bank engine's single-round ``step`` call
+    it against the same ``("engine", "coins")`` child stream, and the
+    bank scheduler draws the identical ``n`` uniforms per lane row,
+    which is what makes them seed-for-seed identical by construction.
 
     The single comparison is exhaustive because plans clamp
     ``p ∈ [0, 1]`` and the uniforms live in ``[0, 1)``: ``p = 0``

@@ -3,7 +3,7 @@
 Unlike the Figure-1 cells (whose job is reproducing the paper's
 bounds at laptop scale), these experiments exist to exercise the
 engines where their implementation choices matter: n in the tens of
-thousands, where round skipping, bitset classification, and sparse
+thousands, where round skipping, the bank kernels, and sparse
 graph validation each move wall-clock time by integer factors while
 results stay bit-identical.
 

@@ -159,8 +159,8 @@ M2_LINK_MODELS = Experiment(
         "only move constants; the offline solo blocker throttles the "
         "first-half cut whenever a lone transmitter could cross it — the "
         "adaptive-adversary tax, now on a multi-message workload. The "
-        "offline series runs on the reference engine (the bitset fast "
-        "path declines adaptive adversaries with a warning)."
+        "offline series runs on the reference engine (the bank engine "
+        "declines adaptive adversaries with a warning)."
     ),
     contrasts=(
         ContrastClaim(

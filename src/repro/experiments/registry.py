@@ -313,7 +313,8 @@ class Experiment:
         because trials are pure functions of their derived seeds.
 
         ``engine`` (optional) overrides every series spec's round-loop
-        implementation (``"reference"`` / ``"bitset"`` / ``"bank"``),
+        implementation (``"reference"`` / ``"bank"``; ``"bitset"`` is a
+        deprecated alias for ``"bank"``),
         and ``skip`` (optional) overrides event-driven round skipping;
         round counts are independent of both, so these only change
         wall-clock time.

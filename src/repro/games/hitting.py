@@ -174,7 +174,7 @@ def empirical_win_rate(
     trials: int,
     rng: random.Random,
 ) -> float:
-    """Fraction of games a fresh player wins within ``k`` guesses.
+    """Share of games a fresh player wins within ``k`` guesses.
 
     ``player_factory(rng) -> Player`` builds an independent player per
     game (players are stateful).

@@ -44,7 +44,7 @@ def masks_to_neighbor_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     """Expand adjacency bitmasks into an ``n × n`` float64 0/1 matrix.
 
     Row ``u`` is the indicator vector of ``masks[u]``. The dtype is
-    deliberate: the bitset engine resolves radio reception with two
+    deliberate: the bank engine resolves radio reception with two
     BLAS matvecs against this matrix (transmitting-neighbor *counts*
     and id-weighted sums), and float64 keeps both exact for every
     ``n`` this simulator can represent (values stay far below 2⁵³).
@@ -160,8 +160,8 @@ def _first_asymmetric_edge(packed: np.ndarray, n: int) -> Optional[tuple[int, in
 def pack_mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
     """Bitmasks as a read-only ``(len(masks), ⌈n/64⌉)`` uint64 word matrix.
 
-    This is the engines' shared word form: the bitset engine's packed
-    reception resolver and the bank scheduler both consume it, and
+    This is the engines' shared word form: the bank engine's packed
+    reception resolver and its scheduler both consume it, and
     static/cyclic adversaries publish their whole mask schedule through
     it once per run instead of letting every engine lane re-pack the
     same big-int tuples round after round. Single-word graphs take the
@@ -366,7 +366,7 @@ class DualGraph:
         Built lazily and cached on the instance — the two static
         patterns ``G``-only and full-``G'`` are by far the most common
         round topologies (every static/oblivious adversary returns one
-        of them most rounds), so the bitset engine seeds its per-
+        of them most rounds), so the bank engine seeds its per-
         topology matrix cache from here. Treat the result as read-only;
         it is shared between callers.
         """

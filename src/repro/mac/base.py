@@ -19,7 +19,7 @@ broadcast. Two delay functions summarize the layer's quality:
 
 * ``mode="engine"`` (:class:`~repro.mac.simulated.SimulatedMACLayer`)
   — the layer compiles into per-node contention resolution executed by
-  the real radio engines (reference or bitset), under any registered
+  the real radio engines (reference or bank), under any registered
   adversary: the guarantees are *targets* the decay-style resolver is
   engineered to meet, and experiments measure how the realization
   actually behaves.

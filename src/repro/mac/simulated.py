@@ -15,7 +15,8 @@ analysis never promised anything about.
 The layer itself stays plain data (window sizing + ladder geometry);
 the per-node state machines that consume it live in
 :mod:`repro.algorithms.multi_message`. Both registered multi-message
-protocols work on the ``reference`` and ``bitset`` engines — adaptive
+protocols work on the ``reference`` and ``bank`` engines (the bank
+engine runs them as struct-of-arrays kernels) — adaptive
 adversaries fall back to the reference engine with the usual
 :class:`~repro.core.errors.EngineFallbackWarning`.
 """

@@ -4,8 +4,8 @@ A trace file is JSONL — one record per :meth:`Recorder.emit` call.
 The schema (validated by ``tools/check_trace_schema.py``):
 
 * ``kind="trial"`` — one engine execution. Required keys: ``engine``
-  (``reference``/``bitset``/``bank``), ``seed``, ``n``, ``rounds``,
-  ``solved``, ``phases`` (phase name → nanoseconds, from
+  (``reference``/``bank``; older traces may say ``bitset``), ``seed``,
+  ``n``, ``rounds``, ``solved``, ``phases`` (phase name → nanoseconds, from
   :data:`PHASES`), ``counters`` (semantic counters, e.g.
   ``rounds.executed``/``rounds.skipped``).
 * ``kind="shard"`` — a campaign shard rollup: ``shard_id``,
@@ -26,7 +26,7 @@ __all__ = ["PHASES", "read_trace", "summarize", "render_phase_table"]
 
 #: The engine phase taxonomy, in pipeline order. Every per-round span
 #: an engine records lands in exactly one of these:
-#: ``plan`` — signature classes / per-node ``plan()`` calls;
+#: ``plan`` — per-node ``plan()`` calls / bank kernel probabilities;
 #: ``coins`` — the Bernoulli transmission draw;
 #: ``adversary`` — ``choose_topology`` + validation (mask minting);
 #: ``reception`` — matvec / packed-row / candidate-scan resolution;

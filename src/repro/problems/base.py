@@ -40,7 +40,7 @@ class ProblemObserver(abc.ABC):
 
     @abc.abstractmethod
     def progress(self) -> float:
-        """Fraction of the goal achieved, in ``[0, 1]`` (diagnostics)."""
+        """Share of the goal achieved, in ``[0, 1]`` (diagnostics)."""
 
 
 class Problem(abc.ABC):

@@ -28,16 +28,27 @@ from repro.core.trace import TraceCollector
 
 MASTER_SEED = 414213562
 
-#: MAC-kernel (gkln) and single-message-kernel (plain/permuted decay)
-#: workloads, a generic-lane workload (plain-decay with a finite
-#: active_phases window, which opts out of the decay kernel), and a
-#: per-node-RNG workload (uncoordinated decay draws from LazyRng).
+#: One workload per bank kernel (both MAC kernels and all seven
+#: single-message kernels), a generic-lane workload (plain-decay with a
+#: finite active_phases window, which opts out of the decay kernel),
+#: and the two kernel-less algorithms, whose lanes run the reference
+#: per-node stages and draw from their per-node LazyRngs (uncoordinated
+#: decay redraws its rung, geo-local flips election coins).
 SPECS = {
     "gkln-kernel": ScenarioSpec(
         graph=("ring", {"n": 12}),
         problem=("multi-message", {}),
         algorithm=("gkln-multi-message", {}),
         adversary=("ge-fade", {"p_fail": 0.3, "p_recover": 0.3}),
+        mac=("simulated", {}),
+        messages={"k": 3, "sources": "spread"},
+        engine="bank",
+    ),
+    "backoff-kernel": ScenarioSpec(
+        graph=("ring", {"n": 12}),
+        problem=("multi-message", {}),
+        algorithm=("backoff-multi-message", {"regime": "exponential"}),
+        adversary=("alternating", {"phase_lengths": [2, 3]}),
         mac=("simulated", {}),
         messages={"k": 3, "sources": "spread"},
         engine="bank",
@@ -56,6 +67,41 @@ SPECS = {
         adversary=("cut-jammer", {"period": 4, "dense_rounds": 1, "side": "first-half"}),
         engine="bank",
     ),
+    "static-decay-kernel": ScenarioSpec(
+        graph=("ring", {"n": 16}),
+        problem=("local-broadcast", {"fraction": 0.25}),
+        algorithm=("static-local-decay", {}),
+        adversary=("cut-jammer", {"period": 5, "dense_rounds": 2, "side": "first-half"}),
+        engine="bank",
+    ),
+    "rr-local-kernel": ScenarioSpec(
+        graph=("ring", {"n": 16}),
+        problem=("local-broadcast", {"fraction": 0.25}),
+        algorithm=("round-robin-local", {"random_slots": True}),
+        adversary=("alternating", {"phase_lengths": [2, 3]}),
+        engine="bank",
+    ),
+    "rr-global-kernel": ScenarioSpec(
+        graph=("binary-tree", {"depth": 3}),
+        problem=("global-broadcast", {"source": 0}),
+        algorithm=("round-robin-global", {"random_slots": True}),
+        adversary=("fixed-flaky", {"edges": []}),
+        engine="bank",
+    ),
+    "uniform-local-kernel": ScenarioSpec(
+        graph=("star", {"n": 12, "flaky_rim": True}),
+        problem=("local-broadcast", {"fraction": 0.25}),
+        algorithm=("uniform-local", {}),
+        adversary=("ge-fade", {"p_fail": 0.3, "p_recover": 0.4}),
+        engine="bank",
+    ),
+    "uniform-global-kernel": ScenarioSpec(
+        graph=("er", {"n": 16, "g_edge_probability": 0.3, "flaky_edge_probability": 0.2}),
+        problem=("global-broadcast", {"source": 0}),
+        algorithm=("uniform-global", {"probability": 0.1}),
+        adversary=("bernoulli-edge", {"p_up": 0.5}),
+        engine="bank",
+    ),
     "generic-lane": ScenarioSpec(
         graph=("line", {"n": 12, "extra_flaky_skips": 2}),
         problem=("global-broadcast", {"source": 0}),
@@ -70,17 +116,33 @@ SPECS = {
         adversary=("bernoulli-edge", {"p_up": 0.6}),
         engine="bank",
     ),
+    "geo-local": ScenarioSpec(
+        graph=("geographic", {"n": 24}),
+        problem=("local-broadcast", {"fraction": 0.25}),
+        algorithm=("geo-local", {}),
+        adversary=("ge-fade", {"p_fail": 0.3, "p_recover": 0.3}),
+        engine="bank",
+    ),
 }
 
 #: Which kernel class (by name) each spec's bank must select; ``None``
 #: pins the generic per-process lane. Rotting expectations here would
-#: silently turn the kernel rows above into generic-lane rows.
+#: silently turn the kernel rows above into generic-lane rows — a
+#: kernel-selection regression the equivalence suites cannot see
+#: (the generic lane is byte-identical, just slower).
 EXPECTED_KERNEL = {
     "gkln-kernel": "_GklnBankKernel",
+    "backoff-kernel": "_BackoffBankKernel",
     "decay-kernel": "_PlainDecayBankKernel",
     "permuted-kernel": "_PermutedDecayBankKernel",
+    "static-decay-kernel": "_StaticDecayBankKernel",
+    "rr-local-kernel": "_RoundRobinLocalBankKernel",
+    "rr-global-kernel": "_RoundRobinGlobalBankKernel",
+    "uniform-local-kernel": "_UniformLocalBankKernel",
+    "uniform-global-kernel": "_UniformGlobalBankKernel",
     "generic-lane": None,
     "lazy-node-rng": None,
+    "geo-local": None,
 }
 
 MAX_ROUNDS = 600
@@ -254,11 +316,13 @@ class TestLazyRngPath:
                 assert isinstance(rng, LazyRng)
                 assert rng._rng is None
 
-    def test_lazy_node_streams_match_serial(self):
-        """Generic lanes do run the per-node plan stage; processes that
-        draw from their LazyRng (uncoordinated decay) must land on the
+    @pytest.mark.parametrize("name", ("lazy-node-rng", "geo-local"))
+    def test_lazy_node_streams_match_serial(self, name):
+        """Generic lanes do run the per-node plan and feedback stages;
+        processes that draw from their LazyRng (uncoordinated decay's
+        rung redraws, geo-local's election coins) must land on the
         same stream position as a serial run."""
-        spec = SPECS["lazy-node-rng"]
+        spec = SPECS[name]
         seeds = _seeds(4)
         _, lanes = _bank_lanes(spec, seeds)
         results = run_bank_batch(

@@ -1,30 +1,30 @@
-"""Seed-for-seed equivalence of all three engines × round skipping: a
-full-trace six-way differential harness.
+"""Seed-for-seed equivalence of both engines × round skipping: a
+full-trace four-way differential harness.
 
-The bitset engine (:mod:`repro.core.fastpath`) restructures the round
-pipeline — plan deduplication by signature class, batched coins,
-matvec/bitset reception, feedback skipping — and the bank engine
-(:mod:`repro.core.bankpath`) goes further, replacing the MAC-protocol
-state machines with trial-batched struct-of-arrays kernels. Every
-restructuring is licensed by a documented contract, so the observable
-execution must be *identical*: same
+The bank engine (:mod:`repro.core.bankpath`) restructures the round
+pipeline — trial-batched struct-of-arrays protocol kernels, batched
+coins, matvec/bitset reception — and runs the reference engine's own
+per-node plan and feedback stages for algorithms without a kernel.
+Every restructuring is licensed by a documented contract, so the
+observable execution must be *identical*: same
 :class:`~repro.core.engine.ExecutionResult`, same
 :class:`~repro.core.trace.RoundRecord` stream (transmitter masks,
-delivery tuples, expected transmitter counts), for every seed, for
-every fast engine, against the reference engine.
+delivery tuples, expected transmitter counts), for every seed, against
+the reference engine. The deprecated ``"bitset"`` engine name is an
+alias for bank and is held to the same traces.
 
 The matrix below covers **every registered component at least once**:
 all 14 graph families, all 11 algorithms (including both multi-message
-MAC protocols), and all 13 oblivious adversaries exercise the fast
-engines directly; the 2 adaptive adversaries exercise the automatic
+MAC protocols), and all 13 oblivious adversaries exercise the bank
+engine directly; the 2 adaptive adversaries exercise the automatic
 fallback (and its warning) instead. The M-experiment cells (M1–M3) are
 checked against the *actual registered experiment specs* on top of the
 synthetic matrix.
 
 Each engine additionally runs with event-driven round skipping forced
-on and forced off — the six-way matrix. Skipping elides provably
+on and forced off — the four-way matrix. Skipping elides provably
 silent rounds but must replay them into the trace and advance the coin
-RNG exactly as if they had run, so all six variants compare against
+RNG exactly as if they had run, so all four variants compare against
 one baseline: the reference engine with skipping off.
 """
 
@@ -39,27 +39,19 @@ from repro.api.spec import ScenarioSpec
 from repro.core.bankpath import BankRadioNetworkEngine
 from repro.core.engine import ENGINE_NAMES, create_engine
 from repro.core.errors import EngineError, EngineFallbackWarning
-from repro.core.fastpath import BitsetRadioNetworkEngine
 from repro.core.trace import TraceCollector
 from repro.registry import ADVERSARIES, ALGORITHMS, GRAPHS
 
-#: The engines that must reproduce the reference engine's traces.
-FAST_ENGINES = ("bitset", "bank")
-
-#: The full six-way grid: every engine with skipping forced on and
+#: The full four-way grid: both engines with skipping forced on and
 #: forced off. The (reference, skip=False) cell is the baseline the
-#: other five compare against.
+#: other three compare against.
 BASELINE = ("reference", False)
-SIX_WAY_MATRIX = [
+FOUR_WAY_MATRIX = [
     (engine, skip)
-    for engine in ("reference", "bitset", "bank")
+    for engine in ("reference", "bank")
     for skip in (False, True)
 ]
-VARIANTS = [cell for cell in SIX_WAY_MATRIX if cell != BASELINE]
-
-#: create_engine result type for each fast engine (bank *is* a bitset
-#: subclass, so the check is exact-type, not isinstance).
-_ENGINE_TYPES = {"bitset": BitsetRadioNetworkEngine, "bank": BankRadioNetworkEngine}
+VARIANTS = [cell for cell in FOUR_WAY_MATRIX if cell != BASELINE]
 
 #: (graph, problem, algorithm, adversary) — one spec per row; together
 #: the rows cover the full registered component sets (asserted below).
@@ -233,8 +225,8 @@ def _run_traced(spec: ScenarioSpec, seed: int, engine: str, skip=None):
 def _baseline(row_index: int, seed: int):
     """Cached (reference, skip=False) run for one matrix cell.
 
-    The five variants all diff against the same baseline; caching it
-    keeps the six-way grid from re-running the reference engine five
+    The three variants all diff against the same baseline; caching it
+    keeps the four-way grid from re-running the reference engine three
     times per (row, seed).
     """
     spec = _spec(EQUIVALENCE_MATRIX[row_index])
@@ -280,8 +272,8 @@ class TestFastEngineEquivalence:
         fast_engine, fast_result, fast_records = _run_traced(
             spec, seed, engine, skip=skip
         )
-        if engine in _ENGINE_TYPES:
-            assert type(fast_engine) is _ENGINE_TYPES[engine]
+        if engine == "bank":
+            assert type(fast_engine) is BankRadioNetworkEngine
         expected_skip = skip
         kernel = getattr(fast_engine, "_kernel", None)
         if kernel is not None and not kernel.supports_skip:
@@ -296,15 +288,59 @@ class TestFastEngineEquivalence:
         for ref_record, fast_record in zip(ref_records, fast_records):
             assert fast_record == ref_record
 
+    @pytest.mark.parametrize(
+        "row_index",
+        range(len(EQUIVALENCE_MATRIX)),
+        ids=lambda i: _row_id(EQUIVALENCE_MATRIX[i]),
+    )
+    def test_bitset_alias_builds_bank(self, row_index):
+        """``engine="bitset"`` is a name only: it builds the bank engine
+        and reproduces the reference trace exactly."""
+        spec = _spec(EQUIVALENCE_MATRIX[row_index])
+        ref_result, ref_records = _baseline(row_index, SEEDS[0])
+        alias_engine, alias_result, alias_records = _run_traced(
+            spec, SEEDS[0], "bitset"
+        )
+        assert type(alias_engine) is BankRadioNetworkEngine
+        assert alias_result == ref_result
+        assert alias_records == ref_records
+
+    @pytest.mark.parametrize("row", EQUIVALENCE_MATRIX[:1] + EQUIVALENCE_MATRIX[10:11], ids=_row_id)
+    def test_run_continues_after_single_steps(self, row):
+        """run() after public step() calls resumes at the engine's round:
+        a kernel row and a kernel-less (geo-local) row."""
+        spec = _spec(row)
+        traces = {}
+        for engine in ("reference", "bank"):
+            trial = spec.build(SEEDS[0])
+            processes = trial.algorithm.build_processes(
+                trial.network.n, trial.network.max_degree, seed=SEEDS[0]
+            )
+            observer = trial.problem.make_observer()
+            collector = TraceCollector()
+            eng = create_engine(
+                trial.network,
+                processes,
+                trial.link_process,
+                engine=engine,
+                seed=SEEDS[0],
+                observers=[observer, collector],
+            )
+            for _ in range(5):
+                eng.step()
+            result = eng.run(max_rounds=MAX_ROUNDS, stop=lambda: observer.solved)
+            traces[engine] = (result, collector.records)
+        assert traces["bank"] == traces["reference"]
+
     @pytest.mark.parametrize("row", EQUIVALENCE_MATRIX[-2:], ids=_row_id)
     def test_bank_kernel_engages_on_mac_rows(self, row):
         """The MAC rows must exercise the vectorized kernels, not the
-        generic (inherited bitset) lane path — otherwise the matrix
+        generic (per-node stage) lane path — otherwise the matrix
         would silently stop covering the struct-of-arrays code."""
         engine, _, _ = _run_traced(_spec(row), SEEDS[0], "bank")
         assert engine._kernel is not None
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", ("bitset", "bank"))
     @pytest.mark.parametrize("row", EQUIVALENCE_MATRIX[:2], ids=_row_id)
     def test_run_trial_results_identical(self, row, engine):
         """The spec-level entry point agrees too (engine rides the spec)."""
@@ -317,7 +353,7 @@ class TestFastEngineEquivalence:
 
 
 #: (experiment id, series label, smallest tiny-scale parameter) — the
-#: registered M-experiment cells the three-way harness replays. The
+#: registered M-experiment cells the harness replays. The
 #: oracle-MAC and adaptive-adversary series are exercised elsewhere
 #: (they bypass or refuse the fast engines by design).
 M_EXPERIMENT_CELLS = [
@@ -330,9 +366,9 @@ M_EXPERIMENT_CELLS = [
 
 
 class TestMExperimentCells:
-    """Three-way equivalence on the actual registered M1–M3 specs."""
+    """Bank-vs-reference equivalence on the registered M1–M3 specs."""
 
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", ("bitset", "bank"))
     @pytest.mark.parametrize(
         "cell", M_EXPERIMENT_CELLS, ids=lambda c: f"{c[0]}/{c[1]}/{c[2]}"
     )
@@ -350,7 +386,7 @@ class TestMExperimentCells:
 
 
 class TestAdaptiveFallback:
-    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("engine", ("bitset", "bank"))
     @pytest.mark.parametrize("row", FALLBACK_MATRIX, ids=_row_id)
     def test_fallback_warns_and_matches(self, row, engine):
         spec = _spec(row)
@@ -358,13 +394,12 @@ class TestAdaptiveFallback:
         with pytest.warns(EngineFallbackWarning, match="reference engine"):
             fallback, fast_result, fast_records = _run_traced(spec, SEEDS[0], engine)
         # The fallback *is* the reference engine, so equality is exact.
-        assert type(fallback) is not _ENGINE_TYPES[engine]
+        assert type(fallback) is not BankRadioNetworkEngine
         assert fast_result == ref_result
         assert fast_records == ref_records
 
-    @pytest.mark.parametrize("engine_type", [BitsetRadioNetworkEngine, BankRadioNetworkEngine])
     @pytest.mark.parametrize("row", FALLBACK_MATRIX[:1], ids=_row_id)
-    def test_direct_construction_rejected(self, row, engine_type):
+    def test_direct_construction_rejected(self, row):
         """Bypassing create_engine must fail loudly, not silently degrade."""
         spec = _spec(row)
         trial = spec.build(SEEDS[0])
@@ -372,7 +407,7 @@ class TestAdaptiveFallback:
             trial.network.n, trial.network.max_degree, seed=SEEDS[0]
         )
         with pytest.raises(EngineError, match="oblivious"):
-            engine_type(
+            BankRadioNetworkEngine(
                 trial.network, processes, trial.link_process, seed=SEEDS[0]
             )
 

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.api.spec import ScenarioSpec
-from repro.core.engine import ENGINE_NAMES, create_engine
+from repro.core.engine import ENGINE_NAMES, canonical_engine, create_engine
 from repro.core.trace import TraceCollector
 from repro.obs import (
     PHASES,
@@ -264,7 +264,8 @@ class TestTracingDeterminism:
         records = [r for r in read_trace(str(path)) if r["kind"] == "trial"]
         assert records, "one trial record per engine run"
         record = records[-1]
-        assert record["engine"] == engine
+        # Records name the implementation that ran: "bitset" is bank.
+        assert record["engine"] == canonical_engine(engine)
         assert {"seed", "n", "rounds", "solved", "phases", "counters"} <= set(record)
         assert set(record["phases"]) <= set(PHASES)
         assert sum(record["phases"].values()) > 0

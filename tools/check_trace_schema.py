@@ -14,7 +14,8 @@ documented in ``src/repro/obs/report.py``:
   the same ``phases``/``counters`` shapes.
 
 For the committed sample the checker additionally requires coverage:
-all three engines must appear among the trial records, and at least
+both engine implementations (``reference`` and ``bank``; ``bitset`` is
+an alias for bank) must appear among the trial records, and at least
 one shard rollup must be present — that is the acceptance bar for "the
 sample shows a per-phase breakdown for every engine".
 
@@ -70,6 +71,13 @@ def _check_counters(record: dict, where: str) -> list[str]:
     ]
 
 
+def _implementations() -> tuple[str, ...]:
+    """The engine implementations behind the registered engine names."""
+    from repro.core.engine import ENGINE_NAMES, canonical_engine
+
+    return tuple(dict.fromkeys(canonical_engine(name) for name in ENGINE_NAMES))
+
+
 def check_trace(path: Path, *, require_coverage: bool = False) -> list[str]:
     from repro.core.engine import ENGINE_NAMES
     from repro.obs.report import PHASES, read_trace
@@ -116,7 +124,7 @@ def check_trace(path: Path, *, require_coverage: bool = False) -> list[str]:
             problems.append(f"{where}: unknown record kind {kind!r}")
 
     if require_coverage:
-        missing = set(ENGINE_NAMES) - engines_seen
+        missing = set(_implementations()) - engines_seen
         if missing:
             problems.append(
                 f"{path}: sample must cover every engine; missing {sorted(missing)}"
@@ -131,7 +139,6 @@ def regenerate_sample() -> None:
     from repro.campaign.runner import CampaignRunner
     from repro.campaign.spec import CampaignSpec
     from repro.campaign.store import ResultStore
-    from repro.core.engine import ENGINE_NAMES
     from repro.obs.recorder import disable, enable
 
     SAMPLE.parent.mkdir(parents=True, exist_ok=True)
@@ -139,7 +146,7 @@ def regenerate_sample() -> None:
         name="trace-sample",
         experiments=("E1b",),
         scales=("tiny",),
-        engines=tuple(ENGINE_NAMES),
+        engines=_implementations(),
         seeds=(2013,),
     )
     with tempfile.TemporaryDirectory() as scratch:
