@@ -184,7 +184,9 @@ def _bank_lanes(spec: ScenarioSpec, seeds):
     return trials, lanes
 
 
-def _serial_engine(spec: ScenarioSpec, seed: int, engine_name: str):
+def _standalone_engine(spec: ScenarioSpec, seed: int, engine_name: str):
+    """One engine built the way create_engine builds it for a trial,
+    with its solve observer and a full trace collector attached."""
     trial = spec.build(seed)
     processes = trial.algorithm.build_processes(
         trial.network.n, trial.network.max_degree, seed=seed
@@ -201,6 +203,14 @@ def _serial_engine(spec: ScenarioSpec, seed: int, engine_name: str):
         validate_topologies=True,
         observers=[observer, collector],
     )
+    return engine, observer, collector
+
+
+def _serial_engine(spec: ScenarioSpec, seed: int, engine_name: str, *, steps: int = 0):
+    """A standalone run, after ``steps`` public single-round steps."""
+    engine, observer, collector = _standalone_engine(spec, seed, engine_name)
+    for _ in range(steps):
+        engine.step()
     result = engine.run(max_rounds=MAX_ROUNDS, stop=lambda: observer.solved)
     return engine, result, collector
 
@@ -257,6 +267,46 @@ class TestPerTrialStreamIdentity:
         for _ in range(50):
             engine_stream.random(out=row)
             assert np.array_equal(row, fresh_stream.random(n))
+
+
+class TestStandaloneEngine:
+    """A standalone bank engine is a bank of one under run_bank_batch."""
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_step_then_run_stream_positions(self, name):
+        """Public step() calls followed by run() consume the coin stream
+        exactly like the reference engine doing the same: the batch loop
+        starts the lane at the round the steps left it on."""
+        spec = SPECS[name]
+        seed = _seeds(1)[0]
+        bank_engine, bank_result, bank_collector = _serial_engine(
+            spec, seed, "bank", steps=7
+        )
+        assert type(bank_engine) is BankRadioNetworkEngine
+        assert (bank_engine._kernel is None) == (EXPECTED_KERNEL[name] is None)
+        ref_engine, ref_result, ref_collector = _serial_engine(
+            spec, seed, "reference", steps=7
+        )
+        assert bank_result == ref_result
+        assert bank_collector.records == ref_collector.records
+        assert np.array_equal(
+            bank_engine._coin_rng.random(8), ref_engine._coin_rng.random(8)
+        )
+
+    def test_lanes_at_different_rounds_rejected(self):
+        """Lockstep lanes share one round index; a bank whose engines
+        stepped unequally is refused before any round runs."""
+        spec = SPECS["geo-local"]
+        first, second = (
+            _standalone_engine(spec, seed, "bank")[0] for seed in _seeds(2)
+        )
+        first.step()
+        with pytest.raises(ValueError, match="same round index"):
+            run_bank_batch(
+                [BankLane(engine=first), BankLane(engine=second)],
+                max_rounds=MAX_ROUNDS,
+            )
+        assert (first.round_index, second.round_index) == (1, 0)
 
 
 class TestNoCrossTrialLeakage:

@@ -37,7 +37,12 @@ import pytest
 
 from repro.api.spec import ScenarioSpec
 from repro.core.bankpath import BankRadioNetworkEngine
-from repro.core.engine import ENGINE_NAMES, create_engine
+from repro.core.engine import (
+    ENGINE_NAMES,
+    canonical_engine,
+    create_engine,
+    resolve_engine_choice,
+)
 from repro.core.errors import EngineError, EngineFallbackWarning
 from repro.core.trace import TraceCollector
 from repro.registry import ADVERSARIES, ALGORITHMS, GRAPHS
@@ -305,10 +310,11 @@ class TestFastEngineEquivalence:
         assert alias_result == ref_result
         assert alias_records == ref_records
 
-    @pytest.mark.parametrize("row", EQUIVALENCE_MATRIX[:1] + EQUIVALENCE_MATRIX[10:11], ids=_row_id)
+    @pytest.mark.parametrize("row", EQUIVALENCE_MATRIX, ids=_row_id)
     def test_run_continues_after_single_steps(self, row):
-        """run() after public step() calls resumes at the engine's round:
-        a kernel row and a kernel-less (geo-local) row."""
+        """run() after public step() calls resumes at the engine's round,
+        on every row: kernel lanes and kernel-less (per-node stage)
+        lanes alike."""
         spec = _spec(row)
         traces = {}
         for engine in ("reference", "bank"):
@@ -324,6 +330,7 @@ class TestFastEngineEquivalence:
                 trial.link_process,
                 engine=engine,
                 seed=SEEDS[0],
+                algorithm_info=trial.algorithm.info(),
                 observers=[observer, collector],
             )
             for _ in range(5):
@@ -433,6 +440,27 @@ class TestEngineSelection:
 
         with pytest.raises(SpecError, match="unknown engine"):
             _spec(EQUIVALENCE_MATRIX[0]).with_param("engine", "warp")
+
+    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    def test_resolution_names_the_implementation(self, name):
+        """Every accepted name resolves to the code that runs it:
+        ``"bitset"`` is an alias that selects bank, and the resolved
+        name agrees with the engine create_engine builds."""
+        expected = {"reference": "reference", "bitset": "bank", "bank": "bank"}
+        assert canonical_engine(name) == expected[name]
+        spec = _spec(EQUIVALENCE_MATRIX[0])
+        trial = spec.build(SEEDS[0])
+        processes = trial.algorithm.build_processes(
+            trial.network.n, trial.network.max_degree, seed=SEEDS[0]
+        )
+        resolved, _, notes = resolve_engine_choice(
+            name, processes, trial.link_process
+        )
+        assert (resolved, notes) == (expected[name], [])
+        engine = create_engine(
+            trial.network, processes, trial.link_process, engine=name, seed=SEEDS[0]
+        )
+        assert (type(engine) is BankRadioNetworkEngine) == (expected[name] == "bank")
 
     def test_engine_round_trips_through_json(self):
         spec = _spec(EQUIVALENCE_MATRIX[0]).with_param("engine", "bitset")
