@@ -15,8 +15,9 @@ Three layers cooperate:
    the reference record keeping and replaces topology lookup and
    reception with cached matvec/bitset resolution. A standalone
    ``engine.run()`` (what :func:`~repro.core.engine.create_engine`
-   returns for a single trial) is a bank of one lane; the cross-trial
-   wins need a whole seed bank.
+   returns for a single trial) is a bank of one lane, and so is a
+   public ``engine.step()``; the cross-trial wins need a whole seed
+   bank.
 2. **Vectorized protocol kernels.** Two families replace the per-node
    Python state machines with struct-of-arrays state:
 
@@ -41,16 +42,21 @@ Three layers cooperate:
    holds to full-trace identity. Algorithms without a kernel run the
    reference engine's own per-node plan and feedback stages in each
    lane — still batched at the coins/reception layer.
-3. **The lockstep scheduler.** :func:`run_bank_batch` drives all lanes
-   round by round: transmission coins are drawn as a (trials × nodes)
-   batch — one ``Generator.random(out=row)`` per lane against the same
-   per-trial ``("engine", "coins")`` stream the reference engine
-   consumes, so per-trial draw order is untouched — then compared and
-   bit-packed in one shot. Lanes whose stop condition fires (or whose
-   per-lane ``max_rounds`` cap elapses — caps may differ across lanes)
-   retire from the bank: their RNGs stop drawing, exactly like a
-   serial run ending. Event-driven round skipping stays *on*:
-   provably silent spans fast-forward through
+3. **One round and one lockstep scheduler.** :func:`_bank_round` is
+   the bank's only round: transmission coins are drawn as a (trials ×
+   nodes) batch — one ``Generator.random(out=row)`` per lane against
+   the same per-trial ``("engine", "coins")`` stream the reference
+   engine consumes, so per-trial draw order is untouched — then
+   compared and bit-packed in one shot, and one reception selector
+   (driven by ``n`` and the caches only) resolves every lane.
+   :func:`run_bank_batch` drives it round by round. Lanes whose stop
+   condition fires (or whose per-lane ``max_rounds`` cap elapses —
+   caps may differ across lanes) retire from the bank: their RNGs stop
+   drawing, exactly like a serial run ending. Event-driven round
+   skipping stays *on*: one probe per lane
+   (:meth:`BankRadioNetworkEngine._skip_horizon`; a kernel's one
+   licence is its ``next_active_round``) bounds the span, and provably
+   silent spans fast-forward through
    :meth:`~repro.core.engine.RadioNetworkEngine._emit_quiet_span` when
    every observer on a lane accepts the batched quiet-span hook, and
    degrade to per-round records otherwise.
@@ -78,7 +84,6 @@ from repro.adversaries.base import (
     ObliviousView,
 )
 from repro.algorithms.decay import decay_ladder
-from repro.core import rng as rng_mod
 from repro.core.engine import (
     _SKIP_BACKOFF_MAX,
     ExecutionResult,
@@ -126,13 +131,14 @@ _MATRIX_CACHE_SIZE = 8
 #: schedule is exactly what this engine consumes.
 _PACKED_MAX_N = PACKED_ROWS_MAX_N
 
-#: Ceiling for the scheduler's per-round dense reception batch: when a
-#: lane's round topology misses the matrix cache (fading
-#: adversaries mint fresh mask tuples every round, so the id-keyed
-#: cache fills and stays cold), the scheduler builds the dense neighbor
-#: matrices for all such lanes in one ``unpackbits`` and resolves them
-#: with one batched matvec. The build is Θ(lanes · n²); past this size
-#: the bigint candidate scan (Θ(transmitters + listeners) words) wins.
+#: Ceiling for the bank round's dense reception batch: when a lane's
+#: round topology misses the matrix cache (fading adversaries mint
+#: fresh mask tuples every round, so the id-keyed cache fills and stays
+#: cold), :func:`_bank_round` builds the dense neighbor matrices for
+#: all such lanes in one ``unpackbits`` and resolves them with one
+#: batched matvec. The build is Θ(lanes · n²); past this size packed
+#: rows or the bigint candidate scan (Θ(transmitters + listeners)
+#: words) win.
 _DENSE_BATCH_MAX_N = 512
 
 
@@ -418,8 +424,9 @@ class _SingleMessageKernelBase:
     engine's fsum — the licence round skipping needs.
 
     State changes ride deliveries only (eligibility pins the exact
-    process types, whose idle/transmit feedback are no-ops), so the
-    kernels also answer :meth:`next_state_change` for the skip probe:
+    process types, whose idle/transmit feedback are no-ops), so each
+    kernel's schedule state can prove the coming rounds silent: its
+    :meth:`next_active_round` is the kernel's one skip licence.
     ``supports_skip`` stays True and bank lanes keep event-driven
     skipping, compounding with the struct-of-arrays plan stage.
     """
@@ -449,17 +456,16 @@ class _SingleMessageKernelBase:
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         """First round > ``r`` on which lane ``t`` could transmit.
 
-        The licence behind *active-round* fast-forwarding: every round
-        in ``(r, result)`` has zero transmission probability for every
-        node of the lane, assuming no deliveries land in between (which
-        is vacuous — all-silent rounds deliver nothing). ``None`` means
-        the lane never transmits again without a delivery. Unlike
-        :meth:`next_state_change` — whose contract is "plans unchanged
-        since round r", meaningful only after an executed silent round
-        — this holds regardless of what round ``r`` itself did, so the
-        scheduler may skip straight from a slot round to the next one.
-        The default promises nothing beyond the next round, disabling
-        the fast-forward for kernels that don't override it.
+        The kernel's skip licence: every round in ``(r, result)`` has
+        zero transmission probability for every node of the lane,
+        assuming no deliveries land in between (which is vacuous —
+        all-silent rounds deliver nothing). ``None`` means the lane
+        never transmits again without a delivery. The promise holds
+        regardless of what round ``r`` itself did, so the scheduler
+        may skip from a silent round and straight from one slot round
+        to the next alike. The default promises nothing beyond the
+        next round, disabling skipping for kernels that don't override
+        it.
         """
         return r + 1
 
@@ -552,17 +558,6 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
             remainder = r % phase
             wait = 0 if remainder == 0 else phase - remainder
             start[t, u] = r + 1 + wait
-
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if r == 0:
-            return 1  # the announcement gives way to the ladder
-        start = self.start[t]
-        informed = start[start != _NEVER]
-        if informed.size == 0:
-            return None  # adoption arrives via feedback
-        if bool((informed <= r).any()):
-            return r + 1  # active ladder: a new rung every round
-        return int(informed.min())  # earliest pending phase boundary
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         start = self.start[t]
@@ -665,18 +660,6 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
             # First epoch boundary strictly after this round.
             join[t, u] = (r + 1 + epoch_len - 1) // epoch_len
 
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if r == 0:
-            return 1  # the announcement; then the source falls silent
-        joins = self.join_epoch[t]
-        joined = joins[joins != _NEVER]
-        if joined.size == 0:
-            return None  # adoption arrives via feedback
-        epoch_len = self.epoch_len[t]
-        if bool((joined * epoch_len <= r).any()):
-            return r + 1  # active permuted decay: new rung each round
-        return int(joined.min()) * epoch_len  # earliest pending epoch
-
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         joins = self.join_epoch[t]
         joined = joins[joins != _NEVER]
@@ -739,13 +722,6 @@ class _StaticDecayBankKernel(_SingleMessageKernelBase):
         """Broadcasters carry per-node messages (origin = own id)."""
         return self.messages[t][u]
 
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if not int(self._bcount[t]):
-            return None  # listeners listen forever
-        if int(self.phase[t, 0]) == 1:
-            return None  # degenerate ladder: constant probability 1/2
-        return r + 1  # a new ladder rung every round
-
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         # Broadcasters ride the public ladder every round, forever.
         return r + 1 if int(self._bcount[t]) else None
@@ -795,9 +771,6 @@ class _RoundRobinLocalBankKernel(_SingleMessageKernelBase):
     def message_for(self, t: int, u: int) -> Message:
         """Broadcasters carry per-node messages (origin = own id)."""
         return self.messages[t][u]
-
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        return _next_slot_round(self.slots[t][self.role[t]], r, self.n)
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         return _next_slot_round_after(self.slots[t][self.role[t]], r, self.n)
@@ -861,33 +834,16 @@ class _RoundRobinGlobalBankKernel(_SingleMessageKernelBase):
             if not informed[t, u] and delivery.message.is_data():
                 informed[t, u] = True
 
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        # Uninformed nodes stay silent through their slot, so only the
-        # informed set's slots can change the lane's behavior.
-        return _next_slot_round(self.slots[t][self.informed[t]], r, self.n)
-
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         return _next_slot_round_after(self.slots[t][self.informed[t]], r, self.n)
-
-
-def _next_slot_round(slots: np.ndarray, r: int, n: int) -> Optional[int]:
-    """First round > ``r`` on which any of ``slots`` matches the clock."""
-    if n == 1:
-        return None  # every round is the slot round
-    if slots.size == 0:
-        return None
-    step = int(((slots - r) % n).min())
-    return r + (step if step else 1)
 
 
 def _next_slot_round_after(slots: np.ndarray, r: int, n: int) -> Optional[int]:
     """First round *strictly* after ``r`` on which any of ``slots`` fires.
 
-    Unlike :func:`_next_slot_round` (whose step-0 case conservatively
-    answers ``r + 1`` because it is only consulted from silent rounds),
-    this maps a slot firing at ``r`` itself a full cycle forward — the
-    active-round fast-forward asks exactly "when does the *next* slot
-    land?" while standing on one.
+    A slot firing at ``r`` itself maps a full cycle forward: the skip
+    licence asks "when does the *next* slot land?", possibly while
+    standing on one.
     """
     if slots.size == 0:
         return None
@@ -944,9 +900,6 @@ class _UniformLocalBankKernel(_SingleMessageKernelBase):
     def message_for(self, t: int, u: int) -> Message:
         """Broadcasters carry per-node messages (origin = own id)."""
         return self.messages[t][u]
-
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        return None  # constant rate forever, in both roles
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         if int(self._bcount[t]) and float(self.rate[t, 0]) > 0.0:
@@ -1017,11 +970,6 @@ class _UniformGlobalBankKernel(_SingleMessageKernelBase):
             if not informed[t, u] and delivery.message.is_data():
                 informed[t, u] = True
 
-    def next_state_change(self, t: int, r: int) -> Optional[int]:
-        if r == 0:
-            return 1  # the announcement gives way to the constant rate
-        return None  # constant rate (or silence) until feedback intervenes
-
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         if r == 0 or float(self.rate[t, 0]) > 0.0:
             # The round-1 case is conservative for a zero rate, but a
@@ -1079,8 +1027,9 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
     private ``kernel``/``lane`` pair the batch runner uses to share one
     struct-of-arrays kernel across lanes. Built standalone (via
     :func:`~repro.core.engine.create_engine`), the engine probes its
-    own processes for a kernel and :meth:`run` drives it as a bank of
-    one lane through :func:`run_bank_batch`. Without a kernel the lane
+    own processes for a kernel; :meth:`run` drives it as a bank of one
+    lane through :func:`run_bank_batch`, and :meth:`step` executes one
+    :func:`_bank_round` of that bank. Without a kernel the lane
     plans and feeds back through the reference engine's own per-node
     stages; coins, topology, reception and records are this module's.
     """
@@ -1142,13 +1091,12 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
         # sender id (div n+1). Totals stay integral and far below 2⁵³,
         # hence exact in float64.
         n = network.n
-        self._x_buffer = np.empty(n, dtype=np.float64)
         self._sender_encoding = 1.0 + np.arange(1, n + 1, dtype=np.float64) * (n + 1)
         self._matrix_cache: dict[int, np.ndarray] = {}
         self._matrix_keepalive: list = []
         self._validated_topologies: dict[int, object] = {}
-        # Packed uint64 neighborhood matrices for the skip-gated
-        # solo-cover reception (n beyond the dense-matrix cap).
+        # Packed uint64 neighborhood matrices for the solo-cover
+        # reception (n beyond the dense-batch cap).
         self._packed_cache: dict[int, np.ndarray] = {}
         self._packed_keepalive: list = []
 
@@ -1164,22 +1112,13 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
         return run_bank_batch([BankLane(engine=self, stop=stop)], max_rounds=max_rounds)[0]
 
     def step(self) -> RoundRecord:
-        """Execute exactly one round and return its record."""
+        """Execute exactly one round and return its record.
+
+        A bank round of one lane: the same round :func:`run_bank_batch`
+        executes for every lane of a seed bank.
+        """
         self._ensure_started()
-        r = self._round
-        ph = self._phase_ns if self._trace is not None else None
-        if ph is not None:
-            t0 = perf_counter_ns()
-        probs = self._plan_probs(r)
-        expected = self._expected_sum(probs)
-        if ph is not None:
-            t1 = perf_counter_ns()
-            ph["plan"] += t1 - t0
-            t0 = t1
-        transmit, transmitter_mask = rng_mod.transmission_coins(self._coin_rng, probs)
-        if ph is not None:
-            ph["coins"] += perf_counter_ns() - t0
-        return self._finish_round(r, transmit, transmitter_mask, expected)
+        return _bank_round([self], self._round, self._trace is not None)[0]
 
     # ------------------------------------------------------------------
     # Plan and feedback: the kernel, or the reference per-node stages
@@ -1221,24 +1160,27 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
             self._kernel.apply_feedback(self._lane, r, deliveries)
 
     # ------------------------------------------------------------------
-    # Skip probes
+    # The skip probe
     # ------------------------------------------------------------------
-    def _quiescent(self) -> bool:
-        """Whether an all-silent round left nothing that can react."""
-        if self._kernel is None:
-            return self._feedback_skip_ok
-        # Kernel state changes ride deliveries only, and an all-silent
-        # round delivers nothing.
-        return self._kernel.supports_skip
-
-    def _skip_horizon(self, r: int, limit: int) -> int:
+    def _skip_horizon(self, r: int, limit: int, silent: bool) -> int:
         """First round in ``(r, limit]`` at which anything may change,
-        probed right after an all-silent round ``r``."""
+        probed right after round ``r``; ``r + 1`` when nothing is
+        skippable.
+
+        Kernel lanes answer from schedule state alone with
+        :meth:`_SingleMessageKernelBase.next_active_round`, a licence
+        that holds whatever round ``r`` did, clamped by the adversary's
+        purity boundary (which gates eliding its ``choose_topology``
+        calls). Kernel-less lanes infer silence from an executed silent
+        round, so they answer only when ``silent`` (every surviving
+        lane of the bank was provably silent in round ``r``) and their
+        idle feedback is a no-op; the reference probe then polls every
+        process, and failed attempts back off exactly as the reference
+        loop does.
+        """
         kernel = self._kernel
         if kernel is None:
-            # The reference probe polls every process, so failed
-            # attempts back off exactly as the reference loop does.
-            if r + 1 < self._next_probe:
+            if not (silent and self._feedback_skip_ok) or r + 1 < self._next_probe:
                 return r + 1
             h = self._quiet_horizon(r, limit)
             if h <= r + 1:
@@ -1247,29 +1189,6 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
             else:
                 self._probe_backoff = 1
             return h
-        h = limit
-        boundary = self.link_process.next_boundary(r)
-        if boundary is not None and boundary < h:
-            h = boundary
-        nxt = kernel.next_state_change(self._lane, r)
-        if nxt is not None and nxt < h:
-            h = nxt
-        return max(h, r + 1)
-
-    def _silent_horizon(self, r: int, limit: int) -> Optional[int]:
-        """Skip licence from an *active* round ``r``, or ``None``.
-
-        Only a skip-capable kernel can prove the coming span silent
-        without executing any of it — its schedule lives in
-        struct-of-arrays state (slot gaps, pending phase boundaries),
-        whereas the per-node probe infers silence from an executed
-        silent round and so offers no licence here. Clamped like
-        :meth:`_skip_horizon`: the adversary's purity boundary gates
-        eliding its ``choose_topology`` calls, the cap gates the span.
-        """
-        kernel = self._kernel
-        if kernel is None or not kernel.supports_skip or not self.skip:
-            return None
         nxt = kernel.next_active_round(self._lane, r)
         h = limit if nxt is None else min(nxt, limit)
         boundary = self.link_process.next_boundary(r)
@@ -1297,58 +1216,22 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
                     self._validated_topologies[key] = topology.masks
         return topology
 
-    def _resolve(
-        self, transmit: np.ndarray, transmitter_mask: int, topology
-    ) -> list[Delivery]:
-        """Stage 4: exactly-one-transmitting-neighbor reception."""
-        if not transmitter_mask:
-            return []
-        matrix = self._matrix_for(topology.masks)
-        if matrix is not None:
-            return self._resolve_with_matrix(transmit, matrix)
-        if self.skip:
-            packed = self._packed_for(topology)
-            if packed is not None:
-                return self._resolve_packed(transmitter_mask, topology.masks, packed)
-        return self._resolve_candidates(transmitter_mask, topology.masks)
-
     def _finish_round(
         self,
         r: int,
-        transmit: np.ndarray,
         transmitter_mask: int,
+        deliveries: list[Delivery],
         expected: float,
-        topology=None,
-        deliveries: Optional[list[Delivery]] = None,
     ) -> RoundRecord:
-        """Stages 3–6: topology, reception, feedback, record keeping.
-
-        The bank scheduler passes ``topology``/``deliveries`` when it
-        already resolved them (batched matvec reception across lanes
-        that share a round topology); left as ``None``, the stages run
-        per engine exactly as in a standalone ``step``.
-        """
+        """Stages 5–6: feedback and record keeping."""
         ph = self._phase_ns if self._trace is not None else None
         if ph is not None:
             t0 = perf_counter_ns()
-        if topology is None:
-            topology = self._choose_topology(r)
-            if ph is not None:
-                t1 = perf_counter_ns()
-                ph["adversary"] += t1 - t0
-                t0 = t1
-        if deliveries is None:
-            deliveries = self._resolve(transmit, transmitter_mask, topology)
-            if ph is not None:
-                t1 = perf_counter_ns()
-                ph["reception"] += t1 - t0
-                t0 = t1
         self._apply_feedback(r, transmitter_mask, deliveries)
         if ph is not None:
             t1 = perf_counter_ns()
             ph["feedback"] += t1 - t0
             t0 = t1
-
         record = self._record_stage(r, transmitter_mask, deliveries, expected)
         if ph is not None:
             ph["observers"] += perf_counter_ns() - t0
@@ -1381,27 +1264,6 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
         # Cache keys are id()s: pin the tuples so ids stay unique.
         self._matrix_keepalive.append(masks)
         return matrix
-
-    def _resolve_with_matrix(
-        self, transmit: np.ndarray, matrix: np.ndarray
-    ) -> list[Delivery]:
-        """Reception via one matvec over the count/sender encoding."""
-        x = self._x_buffer
-        np.copyto(x, transmit)
-        totals = (matrix @ (x * self._sender_encoding)).astype(np.int64)
-        modulus = self.network.n + 1
-        solo = (totals % modulus == 1) & (x == 0.0)
-        receivers = np.nonzero(solo)[0]
-        if receivers.size == 0:
-            return []
-        senders = totals[receivers] // modulus - 1
-        deliveries: list[Delivery] = []
-        message_for = self._message_for
-        for u, sender in zip(receivers.tolist(), senders.tolist()):
-            deliveries.append(
-                Delivery(receiver=u, sender=sender, message=message_for(sender))
-            )
-        return deliveries
 
     def _resolve_candidates(
         self, transmitter_mask: int, masks: Sequence[int]
@@ -1440,9 +1302,10 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
     def _packed_for(self, topology) -> Optional[np.ndarray]:
         """Word-packed ``(n, n//64)`` neighborhood matrix, if cached.
 
-        The dense count/sender matvec stops paying for itself beyond
-        ``_MATRIX_MAX_N``; up to ``_PACKED_MAX_N`` the uint64-packed
-        rows keep reception word-parallel (64 listeners per machine
+        Past the dense-batch cap, a lane without a cached dense matrix
+        (beyond ``_MATRIX_MAX_N``, or once topology churn fills the
+        matrix cache) resolves here: up to ``_PACKED_MAX_N`` the
+        uint64-packed rows keep reception word-parallel (64 listeners per machine
         word) with a footprint of ``n²/8`` bytes instead of ``8n²``.
         Same id-keyed cache discipline as :meth:`_matrix_for`; the rows
         themselves come from :meth:`RoundTopology.packed_rows`, so a
@@ -1546,6 +1409,181 @@ class BankLane:
     max_rounds: Optional[int] = None
 
 
+def _credit(engines: Sequence[BankRadioNetworkEngine], phase: str, ns: int) -> None:
+    """Split one batched stage's time evenly across the lanes it served."""
+    share = ns // len(engines)
+    for engine in engines:
+        engine._phase_ns[phase] += share
+
+
+def _decode(
+    engines: Sequence[BankRadioNetworkEngine],
+    totals: np.ndarray,
+    transmit: np.ndarray,
+) -> list[list[Delivery]]:
+    """Per-lane deliveries from (lanes × n) count/sender matvec totals.
+
+    With transmitter ``j`` encoded as ``1 + (j+1)(n+1)``, a listener's
+    total is 1 mod ``n + 1`` iff exactly one neighbor transmits, and
+    the quotient then names that sender.
+    """
+    modulus = totals.shape[1] + 1
+    solo = (totals % modulus == 1) & ~transmit
+    decoded: list[list[Delivery]] = []
+    for engine, lane_totals, lane_solo in zip(engines, totals, solo):
+        deliveries: list[Delivery] = []
+        receivers = np.nonzero(lane_solo)[0]
+        if receivers.size:
+            senders = lane_totals[receivers] // modulus - 1
+            message_for = engine._message_for
+            for u, sender in zip(receivers.tolist(), senders.tolist()):
+                deliveries.append(
+                    Delivery(receiver=u, sender=sender, message=message_for(sender))
+                )
+        decoded.append(deliveries)
+    return decoded
+
+
+def _bank_round(
+    engines: Sequence[BankRadioNetworkEngine], r: int, traced: bool
+) -> list[RoundRecord]:
+    """Execute round ``r`` on every lane, in lockstep; one record each.
+
+    The bank engine's one round: :meth:`BankRadioNetworkEngine.step`
+    runs it for a single lane and :func:`run_bank_batch` wraps it with
+    retirement, stop checks and skipping. Each lane's record is the
+    reference engine's record for the same round:
+
+    * stages 1–2: per-lane plans and per-trial coin rows (one
+      ``Generator.random(out=row)`` per lane against its own
+      ``("engine", "coins")`` stream — the reference engine's exact
+      draw), then one comparison + ``packbits`` for the whole bank;
+    * stage 3: each lane's oblivious adversary fixes its topology;
+    * stage 4: one reception selector, driven by ``n`` and the caches
+      only. A matrix-cache hit resolves by the cached count/sender
+      matvec; a miss at ``n <= _DENSE_BATCH_MAX_N`` joins one dense
+      (lanes × n × n) batch built straight from the masks; larger
+      networks scan packed neighborhood rows when cached, the bigint
+      candidate set otherwise;
+    * stages 5–6: per-lane feedback and record keeping.
+
+    When ``traced``, every lane accumulates its own phase spans;
+    batched stages are timed once and credited evenly across the lanes
+    they served.
+    """
+    m = len(engines)
+    n = engines[0].network.n
+    nbytes = (n + 7) // 8
+    coins = np.empty((m, n), dtype=np.float64)
+    probs = np.empty((m, n), dtype=np.float64)
+
+    # Stages 1–2, batched: per-lane plans and per-trial coin rows, one
+    # comparison + packbits for the whole bank.
+    for j, engine in enumerate(engines):
+        if traced:
+            ta = perf_counter_ns()
+        np.copyto(probs[j], engine._plan_probs(r))
+        if traced:
+            tb = perf_counter_ns()
+        engine._coin_rng.random(out=coins[j])
+        if traced:
+            ph = engine._phase_ns
+            ph["plan"] += tb - ta
+            ph["coins"] += perf_counter_ns() - tb
+    if traced:
+        t0 = perf_counter_ns()
+    transmit = coins < probs
+    packed = np.packbits(transmit, axis=1, bitorder="little").tobytes()
+    masks = [
+        int.from_bytes(packed[j * nbytes : (j + 1) * nbytes], "little")
+        for j in range(m)
+    ]
+    if traced:
+        _credit(engines, "coins", perf_counter_ns() - t0)
+
+    # Stage 3 per lane.
+    topologies = []
+    for engine in engines:
+        if traced:
+            ta = perf_counter_ns()
+        topologies.append(engine._choose_topology(r))
+        if traced:
+            engine._phase_ns["adversary"] += perf_counter_ns() - ta
+
+    # Stage 4: the reception selector. Fading adversaries mint fresh
+    # mask tuples every round, so the id-keyed matrix cache fills and
+    # stays cold; up to the dense-batch cap their lanes are folded into
+    # ONE neighbor batch — one ``unpackbits`` plus one batched matvec
+    # for the whole bank instead of per-lane scans.
+    deliveries: list[Optional[list[Delivery]]] = [None] * m
+    fresh: list[int] = []
+    for j, (engine, topology) in enumerate(zip(engines, topologies)):
+        if not masks[j]:
+            deliveries[j] = []  # silent round: nothing to hear
+            continue
+        if traced:
+            ta = perf_counter_ns()
+        matrix = engine._matrix_for(topology.masks)
+        if matrix is not None:
+            row = transmit[j : j + 1]
+            totals = (matrix @ (row[0] * engine._sender_encoding)).astype(np.int64)
+            deliveries[j] = _decode([engine], totals[None], row)[0]
+        elif n <= _DENSE_BATCH_MAX_N:
+            fresh.append(j)
+            continue
+        else:
+            packed_rows = engine._packed_for(topology)
+            if packed_rows is not None:
+                deliveries[j] = engine._resolve_packed(
+                    masks[j], topology.masks, packed_rows
+                )
+            else:
+                deliveries[j] = engine._resolve_candidates(masks[j], topology.masks)
+        if traced:
+            engine._phase_ns["reception"] += perf_counter_ns() - ta
+    if fresh:
+        if traced:
+            t0 = perf_counter_ns()
+        if n <= 64:
+            # Single-word masks: one C-loop conversion + byte view.
+            packed_masks = np.array(
+                [topologies[j].masks for j in fresh], dtype="<u8"
+            ).view(np.uint8).reshape(len(fresh), n, 8)
+        else:
+            packed_masks = np.frombuffer(
+                b"".join(
+                    mask.to_bytes(nbytes, "little")
+                    for j in fresh
+                    for mask in topologies[j].masks
+                ),
+                dtype=np.uint8,
+            ).reshape(len(fresh), n, nbytes)
+        neighbors = np.unpackbits(
+            packed_masks, axis=2, bitorder="little", count=n
+        ).astype(np.float64)
+        batch = [engines[j] for j in fresh]
+        rows = transmit[fresh]
+        weighted = rows * batch[0]._sender_encoding
+        totals = (neighbors @ weighted[:, :, None])[..., 0].astype(np.int64)
+        for j, lane_deliveries in zip(fresh, _decode(batch, totals, rows)):
+            deliveries[j] = lane_deliveries
+        if traced:
+            _credit(batch, "reception", perf_counter_ns() - t0)
+
+    # Stages 5–6 per lane. The expected-transmitter sum is each lane's
+    # fsum (from the plan stage on kernel-less lanes) or its kernel's
+    # exact reduction — O(1) for the single-message kernels.
+    if traced:
+        t0 = perf_counter_ns()
+    expecteds = [engine._expected_sum(probs[j]) for j, engine in enumerate(engines)]
+    if traced:
+        _credit(engines, "plan", perf_counter_ns() - t0)
+    return [
+        engine._finish_round(r, masks[j], deliveries[j], expecteds[j])
+        for j, engine in enumerate(engines)
+    ]
+
+
 def run_bank_batch(
     lanes: Sequence[BankLane], *, max_rounds: int
 ) -> list[ExecutionResult]:
@@ -1553,19 +1591,10 @@ def run_bank_batch(
 
     Per-lane results are identical to running each engine's ``run()``
     separately — the batch changes *where* the numpy work happens, not
-    what any trial observes:
-
-    * coins: one ``Generator.random(out=row)`` per lane per round (the
-      lane's own per-trial stream, same draw count as a serial run),
-      then one (active × n) comparison + ``packbits`` for the bank;
-    * plans: kernel-backed lanes share one (T, n) probability batch,
-      and skip-capable kernels answer the expected-transmitter sum in
-      O(1) (bit-identical to fsum) instead of an O(n) reduction;
-    * reception: lanes whose topology hits the matrix cache resolve by
-      cached matvec; cache misses (per-round fading masks)
-      are folded into one dense batched matvec for the whole bank; only
-      networks past ``_DENSE_BATCH_MAX_N`` fall back to the per-lane
-      scan over the adversary's published packed mask rows.
+    what any trial observes. Every executed round is one
+    :func:`_bank_round` over the surviving lanes (batched coins, plans
+    and dense reception); this loop adds retirement, stop checks and
+    skipping.
 
     Lanes whose stop condition fires — or whose per-lane ``max_rounds``
     cap elapses — retire immediately: they stop drawing coins and stop
@@ -1607,21 +1636,12 @@ def run_bank_batch(
         return []
     # Tracing: each lane accumulates its own phase spans/counters and
     # emits its own trial record on retirement, exactly as a standalone
-    # run() would. Batched stages (packbits, the dense reception batch)
-    # are timed once and credited evenly across the lanes they served.
+    # run() would.
     rec = _obs_recorder()
     traced = rec is not None
     if traced:
         for lane in lanes:
             lane.engine._trace_begin(rec)
-
-    def _credit(phase: str, ns: int, members: Sequence[int]) -> None:
-        share = ns // len(members)
-        for i in members:
-            lanes[i].engine._phase_ns[phase] += share
-    n = lanes[0].engine.network.n
-    nbytes = (n + 7) // 8
-    modulus = n + 1
     bank_skip = all(lane.engine.skip for lane in lanes)
     # Batched quiet-span emission is engaged per lane, and only when
     # every observer on that lane accepts the span hook; lanes carrying
@@ -1634,8 +1654,6 @@ def run_bank_batch(
         )
         for lane in lanes
     ]
-    coin_buffer = np.empty((len(lanes), n), dtype=np.float64)
-    prob_buffer = np.empty((len(lanes), n), dtype=np.float64)
     executed = 0
     while active:
         # Retire lanes whose own round budget has elapsed (the lockstep
@@ -1651,185 +1669,39 @@ def run_bank_batch(
             if not active:
                 break
         r = origin + executed
-        m = len(active)
-        coins = coin_buffer[:m]
-        probs = prob_buffer[:m]
-
-        # Stages 1–2, batched: per-lane plans and per-trial coin rows,
-        # one comparison + packbits for the whole bank.
-        if traced:
-            for j, i in enumerate(active):
-                engine = lanes[i].engine
-                ta = perf_counter_ns()
-                np.copyto(probs[j], engine._plan_probs(r))
-                tb = perf_counter_ns()
-                engine._coin_rng.random(out=coins[j])
-                tc = perf_counter_ns()
-                ph = engine._phase_ns
-                ph["plan"] += tb - ta
-                ph["coins"] += tc - tb
-            t0 = perf_counter_ns()
-        else:
-            for j, i in enumerate(active):
-                engine = lanes[i].engine
-                np.copyto(probs[j], engine._plan_probs(r))
-                engine._coin_rng.random(out=coins[j])
-        transmit = coins < probs
-        packed = np.packbits(transmit, axis=1, bitorder="little").tobytes()
-        masks = [
-            int.from_bytes(packed[j * nbytes : (j + 1) * nbytes], "little")
-            for j in range(m)
-        ]
-        if traced:
-            _credit("coins", perf_counter_ns() - t0, active)
-
-        # Stage 3 per lane; stage 4 batched. Lanes whose topology hits
-        # the matrix cache (static adversaries, shared graphs)
-        # resolve by cached matvec; lanes that miss it (fading
-        # adversaries mint fresh mask tuples every round, so the
-        # id-keyed cache fills and stays cold) are folded into ONE
-        # dense (lanes × n × n) neighbor batch built straight from the
-        # masks — one ``unpackbits`` plus one batched matvec for the
-        # whole bank instead of per-lane bigint candidate scans.
-        if traced:
-            topologies = []
-            for i in active:
-                ta = perf_counter_ns()
-                topologies.append(lanes[i].engine._choose_topology(r))
-                lanes[i].engine._phase_ns["adversary"] += perf_counter_ns() - ta
-        else:
-            topologies = [lanes[i].engine._choose_topology(r) for i in active]
-        shared_deliveries: dict[int, list[Delivery]] = {}
-        fresh: list[int] = []
-        for j, topology in enumerate(topologies):
-            if masks[j] == 0:
-                shared_deliveries[j] = []  # silent round: nothing to hear
-                continue
-            engine = lanes[active[j]].engine
-            if traced:
-                ta = perf_counter_ns()
-            matrix = engine._matrix_for(topology.masks)
-            if matrix is not None:
-                shared_deliveries[j] = engine._resolve_with_matrix(
-                    transmit[j], matrix
-                )
-                if traced:
-                    engine._phase_ns["reception"] += perf_counter_ns() - ta
-            elif n <= _DENSE_BATCH_MAX_N:
-                fresh.append(j)
-        if fresh:
-            if traced:
-                t0 = perf_counter_ns()
-            if n <= 64:
-                # Single-word masks: one C-loop conversion + byte view.
-                packed_masks = np.array(
-                    [topologies[j].masks for j in fresh], dtype="<u8"
-                ).view(np.uint8).reshape(len(fresh), n, 8)
-            else:
-                packed_masks = np.frombuffer(
-                    b"".join(
-                        mask.to_bytes(nbytes, "little")
-                        for j in fresh
-                        for mask in topologies[j].masks
-                    ),
-                    dtype=np.uint8,
-                ).reshape(len(fresh), n, nbytes)
-            neighbors = np.unpackbits(
-                packed_masks, axis=2, bitorder="little", count=n
-            ).astype(np.float64)
-            rows = transmit[fresh]
-            weighted = rows * lanes[active[fresh[0]]].engine._sender_encoding
-            totals = (neighbors @ weighted[:, :, None])[..., 0].astype(np.int64)
-            solo = (totals % modulus == 1) & ~rows
-            for position, j in enumerate(fresh):
-                deliveries: list[Delivery] = []
-                receivers = np.nonzero(solo[position])[0]
-                if receivers.size:
-                    senders = totals[position, receivers] // modulus - 1
-                    message_for = lanes[active[j]].engine._message_for
-                    for u, sender in zip(receivers.tolist(), senders.tolist()):
-                        deliveries.append(
-                            Delivery(
-                                receiver=u, sender=sender, message=message_for(sender)
-                            )
-                        )
-                shared_deliveries[j] = deliveries
-            if traced:
-                _credit(
-                    "reception",
-                    perf_counter_ns() - t0,
-                    [active[j] for j in fresh],
-                )
-
-        # Stages 3–6 per lane (topology/deliveries reused when batched).
-        # The expected-transmitter sum is each lane's fsum (from the
-        # plan stage on kernel-less lanes) or its kernel's exact
-        # reduction — O(1) for the single-message kernels.
-        if traced:
-            t0 = perf_counter_ns()
-        expecteds = [
-            lanes[i].engine._expected_sum(probs[j]) for j, i in enumerate(active)
-        ]
-        if traced:
-            _credit("plan", perf_counter_ns() - t0, active)
-        survivors: list[tuple[int, int]] = []  # (bank position j, lane i)
-        for j, i in enumerate(active):
-            lane = lanes[i]
-            record = lane.engine._finish_round(
-                r,
-                transmit[j],
-                masks[j],
-                expecteds[j],
-                topology=topologies[j],
-                deliveries=shared_deliveries.get(j),
-            )
-            if lane.stop is not None and lane.stop():
+        records = _bank_round([lanes[i].engine for i in active], r, traced)
+        survivors: list[int] = []
+        silent = True
+        for i, record in zip(active, records):
+            stop = lanes[i].stop
+            if stop is not None and stop():
                 results[i] = ExecutionResult(
                     rounds=executed + 1, solved=True, solve_round=record.round_index
                 )
-            else:
-                survivors.append((j, i))
-        active = [i for _, i in survivors]
+                continue
+            survivors.append(i)
+            # The exact expected sum of non-negative probabilities is
+            # 0.0 iff every term is: the lane was provably silent.
+            silent = silent and (
+                record.transmitter_mask == 0 and record.expected_transmitters == 0.0
+            )
+        active = survivors
         executed += 1
 
-        # Lockstep round skipping. A lane that just retired no longer
-        # constrains the probes.
-        if not (bank_skip and survivors):
+        # Lockstep round skipping, up to the earliest per-lane horizon.
+        # A lane that just retired no longer constrains the probes.
+        if not (bank_skip and active):
             continue
         if traced:
             ts = perf_counter_ns()
-            probed = active
+            probed = [lanes[i].engine for i in active]
         start = r + 1  # every lane's next round, lockstep
-        if (
-            all(masks[j] == 0 for j, _ in survivors)
-            and all(expecteds[j] == 0.0 for j, _ in survivors)
-            and all(lanes[i].engine._quiescent() for _, i in survivors)
-        ):
-            # Every surviving lane was provably silent this round (the
-            # exact expected sum of non-negative probabilities is 0.0
-            # iff each term is) and quiescent: fast-forward to the
-            # earliest per-lane skip horizon (each clamped to its cap).
-            h = min(
-                lanes[i].engine._skip_horizon(r, origin + caps[i]) for i in active
-            )
-        else:
-            # The round was active somewhere, but skip-capable kernels
-            # can still prove the coming span silent from schedule
-            # state alone (slot gaps, pending phase boundaries) —
-            # skipping straight from one slot round to the next instead
-            # of executing a probe round in between. One lane without a
-            # licence keeps the lockstep stepping round by round.
-            horizons = [
-                lanes[i].engine._silent_horizon(r, origin + caps[i]) for i in active
-            ]
-            if any(horizon is None for horizon in horizons):
-                if traced:
-                    _credit("skip", perf_counter_ns() - ts, probed)
-                continue
-            h = min(horizons)
+        h = min(
+            lanes[i].engine._skip_horizon(r, origin + caps[i], silent) for i in active
+        )
         if h <= start:
             if traced:
-                _credit("skip", perf_counter_ns() - ts, probed)
+                _credit(probed, "skip", perf_counter_ns() - ts)
             continue
         still_active: list[int] = []
         for i in active:
@@ -1859,7 +1731,7 @@ def run_bank_batch(
         active = still_active
         executed = h - origin
         if traced:
-            _credit("skip", perf_counter_ns() - ts, probed)
+            _credit(probed, "skip", perf_counter_ns() - ts)
     if traced:
         for lane, result in zip(lanes, results):
             lane.engine._trace = None

@@ -478,17 +478,69 @@ class RadioNetworkEngine:
     def _run_impl(
         self, max_rounds: int, stop: Optional[StopCondition]
     ) -> ExecutionResult:
+        """The run loop (reference implementation).
+
+        Rounds execute through the ordinary :meth:`step`. With ``skip``
+        on, after each *all-silent* round (``expected == 0.0`` — exact,
+        since fsum of non-negative terms is zero iff every term is) the
+        engine fast-forwards to the quiet horizon. The span's elisions
+        are licensed contract by contract: per-node ``on_feedback``
+        calls by :meth:`_skip_ok` (checked across all classes up
+        front), ``plan`` calls by ``next_state_change``, and
+        ``choose_topology`` calls by ``next_boundary`` — round ``r``
+        itself always ran normally, so stateful adversaries stay in
+        sync. With ``skip`` off the loop never probes.
+        """
         self._ensure_started()
         if stop is not None and stop():
             return ExecutionResult(rounds=0, solved=True, solve_round=-1)
-        if self.skip:
-            return self._run_skipping(max_rounds, stop)
+        skip_ok = self.skip and self._skip_ok()
         executed = 0
+        backoff = 1
+        next_attempt = self._round
         while executed < max_rounds:
             record = self.step()
             executed += 1
             if stop is not None and stop():
-                return ExecutionResult(rounds=executed, solved=True, solve_round=record.round_index)
+                return ExecutionResult(
+                    rounds=executed, solved=True, solve_round=record.round_index
+                )
+            if executed >= max_rounds:
+                break
+            if not (
+                skip_ok
+                and record.transmitter_mask == 0
+                and record.expected_transmitters == 0.0
+                and self._round >= next_attempt
+            ):
+                continue
+            ph = self._phase_ns if self._trace is not None else None
+            if ph is not None:
+                ts = perf_counter_ns()
+            start = self._round
+            h = self._quiet_horizon(record.round_index, start + (max_rounds - executed))
+            if h <= start:
+                if ph is not None:
+                    ph["skip"] += perf_counter_ns() - ts
+                next_attempt = start + backoff
+                backoff = min(backoff * 2, _SKIP_BACKOFF_MAX)
+                continue
+            backoff = 1
+            if ph is not None:
+                counts = self._trace_counts
+                counts["skip.spans"] = counts.get("skip.spans", 0) + 1
+                self._trace.observe("skip.span_rounds", h - start)
+            try:
+                for i in range(start, h):
+                    quiet = self._emit_quiet_round(i)
+                    executed += 1
+                    if stop is not None and stop():
+                        return ExecutionResult(
+                            rounds=executed, solved=True, solve_round=quiet.round_index
+                        )
+            finally:
+                if ph is not None:
+                    ph["skip"] += perf_counter_ns() - ts
         return ExecutionResult(rounds=executed, solved=False, solve_round=None)
 
     # ------------------------------------------------------------------
@@ -633,69 +685,6 @@ class RadioNetworkEngine:
                 if h <= r + 1:
                     return r + 1
         return max(h, r + 1)
-
-    def _run_skipping(self, max_rounds: int, stop: Optional[StopCondition]) -> ExecutionResult:
-        """The skip-enabled run loop (reference implementation).
-
-        Rounds execute through the ordinary :meth:`step`; after each
-        *all-silent* round (``expected == 0.0`` — exact, since fsum of
-        non-negative terms is zero iff every term is) the engine
-        fast-forwards to the quiet horizon. The span's elisions are
-        licensed contract by contract: per-node ``on_feedback`` calls
-        by :meth:`_skip_ok` (checked across all classes up front),
-        ``plan`` calls by ``next_state_change``, and
-        ``choose_topology`` calls by ``next_boundary`` — round ``r``
-        itself always ran normally, so stateful adversaries stay in
-        sync.
-        """
-        skip_ok = self._skip_ok()
-        executed = 0
-        backoff = 1
-        next_attempt = self._round
-        while executed < max_rounds:
-            record = self.step()
-            executed += 1
-            if stop is not None and stop():
-                return ExecutionResult(
-                    rounds=executed, solved=True, solve_round=record.round_index
-                )
-            if executed >= max_rounds:
-                break
-            if not (
-                skip_ok
-                and record.transmitter_mask == 0
-                and record.expected_transmitters == 0.0
-                and self._round >= next_attempt
-            ):
-                continue
-            ph = self._phase_ns if self._trace is not None else None
-            if ph is not None:
-                ts = perf_counter_ns()
-            start = self._round
-            h = self._quiet_horizon(record.round_index, start + (max_rounds - executed))
-            if h <= start:
-                if ph is not None:
-                    ph["skip"] += perf_counter_ns() - ts
-                next_attempt = start + backoff
-                backoff = min(backoff * 2, _SKIP_BACKOFF_MAX)
-                continue
-            backoff = 1
-            if ph is not None:
-                counts = self._trace_counts
-                counts["skip.spans"] = counts.get("skip.spans", 0) + 1
-                self._trace.observe("skip.span_rounds", h - start)
-            try:
-                for i in range(start, h):
-                    quiet = self._emit_quiet_round(i)
-                    executed += 1
-                    if stop is not None and stop():
-                        return ExecutionResult(
-                            rounds=executed, solved=True, solve_round=quiet.round_index
-                        )
-            finally:
-                if ph is not None:
-                    ph["skip"] += perf_counter_ns() - ts
-        return ExecutionResult(rounds=executed, solved=False, solve_round=None)
 
 
 # ----------------------------------------------------------------------

@@ -127,11 +127,12 @@ def transmission_coins(
     ``mask`` is the same set packed as a Python int bitset (bit ``u``
     set iff node ``u`` transmits).
 
-    This is the *single* place transmission coins are realized: the
-    reference engine and the bank engine's single-round ``step`` call
-    it against the same ``("engine", "coins")`` child stream, and the
-    bank scheduler draws the identical ``n`` uniforms per lane row,
-    which is what makes them seed-for-seed identical by construction.
+    The reference engine realizes its coins here from the
+    ``("engine", "coins")`` child stream. The bank engine's round (its
+    ``step`` and its scheduler alike) draws the identical ``n``
+    uniforms per lane row with ``Generator.random(out=row)`` on the
+    same stream and applies the same comparison, which is what makes
+    the two engines seed-for-seed identical by construction.
 
     The single comparison is exhaustive because plans clamp
     ``p ∈ [0, 1]`` and the uniforms live in ``[0, 1)``: ``p = 0``

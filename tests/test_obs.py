@@ -311,6 +311,75 @@ class TestTracingDeterminism:
         assert "obs" not in plain_store.shard_records("obs-test")[0]["meta"]
 
 
+# ----------------------------------------------------------------------
+# Reception cache counters of the bank round
+# ----------------------------------------------------------------------
+def _traced_run(spec: ScenarioSpec, seed: int, engine: str, *, skip: bool):
+    """(recorder counters, TraceCollector records) of one traced run."""
+    trial = spec.build(seed)
+    processes = trial.algorithm.build_processes(
+        trial.network.n, trial.network.max_degree, seed=seed
+    )
+    observer = trial.problem.make_observer()
+    collector = TraceCollector()
+    eng = create_engine(
+        trial.network,
+        processes,
+        trial.link_process,
+        engine=engine,
+        seed=seed,
+        algorithm_info=trial.algorithm.info(),
+        validate_topologies=False,
+        observers=[observer, collector],
+        skip=skip,
+    )
+    rec = enable()
+    try:
+        eng.run(max_rounds=trial.max_rounds, stop=lambda: observer.solved)
+    finally:
+        disable()
+    return rec.counters, collector.records
+
+
+class TestReceptionCacheCounters:
+    def test_matrix_cache_is_looked_up_once_per_transmitting_round(self):
+        """A lane that misses the matrix cache at 512 < n <= 2048 books
+        exactly one lookup per round with a transmitter (silent rounds
+        resolve nothing and look nothing up)."""
+        spec = ScenarioSpec(
+            graph=("geographic", {"n": 1000, "grey_ratio": 2.0}),
+            problem=("global-broadcast", {"source": 0}),
+            algorithm=("plain-decay", {}),
+            adversary=("ge-fade", {"p_fail": 0.3, "p_recover": 0.4}),
+        )
+        counters, records = _traced_run(spec, 2013, "bank", skip=True)
+        transmitting = sum(1 for record in records if record.transmitter_mask)
+        assert counters.get("cache.matrix.miss", 0) > 0
+        lookups = counters.get("cache.matrix.hit", 0) + counters.get(
+            "cache.matrix.miss", 0
+        )
+        assert lookups == transmitting
+
+    def test_packed_reception_does_not_depend_on_skip(self):
+        """Past the dense-matrix cap the bank resolves through packed
+        rows whether or not skipping is on, with identical records."""
+        spec = ScenarioSpec(
+            graph=("ring", {"n": 4096}),
+            problem=("local-broadcast", {"fraction": 1 / 64}),
+            algorithm=("static-local-decay", {}),
+            adversary=("none", {}),
+        )
+        counters, records = _traced_run(spec, 2013, "bank", skip=False)
+        packed = counters.get("cache.packed.hit", 0) + counters.get(
+            "cache.packed.miss", 0
+        )
+        assert packed > 0
+        _, skipping_records = _traced_run(spec, 2013, "bank", skip=True)
+        _, reference_records = _traced_run(spec, 2013, "reference", skip=False)
+        assert records == skipping_records
+        assert records == reference_records
+
+
 class TestMacHistograms:
     def test_window_draws_feed_histograms(self):
         from repro.mac.simulated import SimulatedMACLayer
