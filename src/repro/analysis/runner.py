@@ -246,14 +246,15 @@ def run_prepared_trial(
 
 
 def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
-    """The :class:`EngineFallbackWarning` texts this trial would emit.
+    """The :class:`EngineFallbackWarning` notes this trial would emit.
 
     Builds the trial's processes (cheap relative to a run) and resolves
     the engine + skip choice exactly as :func:`run_prepared_trial`
     will, *without* emitting anything — executors call this once per
-    scenario, warn once with the scenario label attached, and then run
-    every trial with ``warn_fallback=False``. Oracle-mode MAC trials
-    have no engine and therefore no fallbacks.
+    scenario, warn once through
+    :func:`~repro.core.engine.warn_engine_fallbacks` with the scenario
+    label, and then run every trial with ``warn_fallback=False``.
+    Oracle-mode MAC trials have no engine and therefore no fallbacks.
     """
     mac = trial.mac
     if mac is not None and getattr(mac, "mode", "engine") == "oracle":
@@ -266,8 +267,6 @@ def probe_engine_fallbacks(trial: PreparedTrial, seed: int) -> list[str]:
     _, _, notes = resolve_engine_choice(
         trial.engine, processes, trial.link_process, skip=trial.skip
     )
-    if trial.label:
-        notes = [f"{note} [scenario: {trial.label}]" for note in notes]
     return notes
 
 
@@ -338,22 +337,13 @@ def run_bank_trials(
     ]
     # Lanes bypass create_engine, so resolve the skip flag (and emit
     # any contract-gap warning, once for the whole bank) here.
-    from repro.core.engine import resolve_engine_choice
-    from repro.core.errors import EngineFallbackWarning
+    from repro.core.engine import resolve_engine_choice, warn_engine_fallbacks
 
     _, resolved_skip, notes = resolve_engine_choice(
         "bank", banks[0], lead.link_process, skip=lead.skip
     )
     if warn_fallback:
-        import warnings
-
-        from repro.obs.recorder import inc as _obs_inc
-
-        for note in notes:
-            if lead.label:
-                note = f"{note} [scenario: {lead.label}]"
-            _obs_inc("engine.fallback.warned")
-            warnings.warn(note, EngineFallbackWarning, stacklevel=2)
+        warn_engine_fallbacks(notes, lead.label, stacklevel=2)
     kernel = build_bank_kernel(banks)
     lanes = []
     for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):

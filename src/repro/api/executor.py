@@ -23,12 +23,11 @@ from __future__ import annotations
 import abc
 import os
 import pickle
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from repro.analysis.runner import Scenario, TrialResult, run_prepared_trial
-from repro.core.engine import canonical_engine
+from repro.core.engine import canonical_engine, warn_engine_fallbacks
 from repro.core.errors import SpecError
 
 __all__ = ["TrialExecutor", "SerialExecutor", "ParallelExecutor"]
@@ -163,12 +162,11 @@ class ParallelExecutor(TrialExecutor):
         # yields exactly one EngineFallbackWarning per batch regardless
         # of how many chunks or processes it fans out to.
         from repro.analysis.runner import probe_engine_fallbacks
-        from repro.core.errors import EngineFallbackWarning
-        from repro.obs.recorder import inc as _obs_inc
 
-        for note in probe_engine_fallbacks(scenario(seeds[0]), seeds[0]):
-            _obs_inc("engine.fallback.warned")
-            warnings.warn(note, EngineFallbackWarning, stacklevel=2)
+        first = scenario(seeds[0])
+        warn_engine_fallbacks(
+            probe_engine_fallbacks(first, seeds[0]), first.label, stacklevel=2
+        )
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
         size = self._resolve_chunksize(len(seeds))

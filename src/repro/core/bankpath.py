@@ -34,7 +34,16 @@ Three layers cooperate:
      probability ladder (or schedule rung) across every lane per
      round — one scalar probability per lane per round covers the
      whole active set, which also makes the expected-transmitter sum
-     exact in O(1).
+     exact in O(1). They follow the paper's split: local broadcast
+     (a fixed broadcaster set, each node its own message) and global
+     broadcast (one source's message, relayed on first reception)
+     each have one base class.
+
+   Each kernel is a declaration over :class:`_KernelBase`: the process
+   class it mirrors (the key of ``_KERNELS``), the ``lane_params`` a
+   lane shares, the ``unbounded`` budgets that must be ``None`` and a
+   role rule — one eligibility check reads all four — plus one
+   ``_plan(r)`` behind one per-round plan cache.
 
    The kernels reproduce the reference engine's plans bit-for-bit
    (probabilities are exact powers of two via ``ldexp``; message
@@ -71,6 +80,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter_ns
 from typing import Optional, Sequence
 
@@ -83,7 +93,15 @@ from repro.adversaries.base import (
     LinkProcess,
     ObliviousView,
 )
-from repro.algorithms.decay import decay_ladder
+from repro.algorithms.decay import PlainDecayGlobalProcess, decay_ladder
+from repro.algorithms.global_broadcast import ObliviousGlobalBroadcastProcess
+from repro.algorithms.local_static import StaticLocalDecayProcess
+from repro.algorithms.multi_message import (
+    BackoffMultiMessageProcess,
+    GklnMultiMessageProcess,
+)
+from repro.algorithms.round_robin import RoundRobinGlobalProcess, RoundRobinLocalProcess
+from repro.algorithms.uniform import UniformGlobalProcess, UniformLocalProcess
 from repro.core.engine import (
     _SKIP_BACKOFF_MAX,
     ExecutionResult,
@@ -143,16 +161,98 @@ _DENSE_BATCH_MAX_N = 512
 
 
 # ----------------------------------------------------------------------
-# Vectorized protocol kernels: multi-message MAC family
+# Vectorized protocol kernels
 # ----------------------------------------------------------------------
-class _MultiMessageKernelBase:
+def _lane_column(banks: Sequence[Sequence], attr: str, dtype=None) -> np.ndarray:
+    """(T, 1) column of a lane parameter, read off each lane's first node."""
+    return np.array([[getattr(bank[0], attr)] for bank in banks], dtype=dtype)
+
+
+def _node_grid(banks: Sequence[Sequence], attr: str, dtype=None) -> np.ndarray:
+    """(T, n) grid of a per-node attribute."""
+    return np.array(
+        [[getattr(process, attr) for process in bank] for bank in banks], dtype=dtype
+    )
+
+
+class _KernelBase:
+    """What every bank kernel shares: one eligibility rule, one plan cache.
+
+    A kernel mirrors exactly one process class (``_KERNELS`` maps the
+    class to its kernel) and declares what it reads from those
+    processes:
+
+    * ``lane_params`` — attributes every node shares with its lane's
+      first node, because the kernel keeps them once per lane;
+    * ``unbounded`` — attributes that must be ``None``: a finite budget
+      re-ties the plan to each node's join round, which the generic
+      lanes handle;
+    * :meth:`_role_ok` — the per-node role rule the kernel's initial
+      state assumes.
+
+    A subclass of a process class opts out, falling back to the
+    per-node stages with identical results. Each kernel writes only
+    :meth:`_plan`; :meth:`probabilities` runs it once per round, which
+    matters for kernels whose plan also advances state.
+    """
+
+    lane_params: tuple[str, ...] = ()
+    unbounded: tuple[str, ...] = ()
+
+    @classmethod
+    def eligible(cls, banks: Sequence[Sequence]) -> bool:
+        """Whether every node of every lane fits this kernel's declaration."""
+        process_cls = type(banks[0][0])
+        fields = cls.lane_params + cls.unbounded
+        read = attrgetter(*fields) if fields else None
+        role_ok = cls._role_ok
+        for bank in banks:
+            first = bank[0]
+            if type(first) is not process_cls:
+                return False
+            if read is not None:
+                shared = read(first)
+                # Every node must match the first on ``unbounded`` too.
+                if any(getattr(first, name) is not None for name in cls.unbounded):
+                    return False
+            for u, process in enumerate(bank):
+                if type(process) is not process_cls:
+                    return False
+                if read is not None and read(process) != shared:
+                    return False
+                if not role_ok(process, u):
+                    return False
+        return True
+
+    @staticmethod
+    def _role_ok(process: Process, u: int) -> bool:
+        return True
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        self.trials = len(banks)
+        self.n = len(banks[0])
+        self._r = -1
+        self._probs: Optional[np.ndarray] = None
+
+    def probabilities(self, r: int) -> np.ndarray:
+        """(T, n) transmission probabilities for round ``r`` (cached)."""
+        if r != self._r:
+            self._probs = self._plan(r)
+            self._r = r
+        return self._probs
+
+
+# ----------------------------------------------------------------------
+# Multi-message MAC family
+# ----------------------------------------------------------------------
+class _MultiMessageKernelBase(_KernelBase):
     """Shared struct-of-arrays state for the multi-message kernels.
 
     Layout (``T`` trials × ``n`` nodes × ``k`` messages):
 
     * ``known``  — (T, n, ⌈k/64⌉) uint64 bitmap: bit ``i`` of the row
-      set iff the node holds message ``i`` (the ISSUE's trials × nodes
-      × bits knowledge map, bit-packed 64 per word — any ``k``).
+      set iff the node holds message ``i`` (bit-packed 64 per word, so
+      any ``k`` fits).
     * ``order``  — (T, n, k) int64 append-order log of message indices;
       both protocols rotate/queue over their knowledge in append order.
     * ``klen``   — (T, n) int64 length of that log.
@@ -168,9 +268,8 @@ class _MultiMessageKernelBase:
     supports_skip = False
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
         first = banks[0][0]
-        self.trials = len(banks)
-        self.n = len(banks[0])
         self.k = first.assignment.k
         self.assignments = [bank[0].assignment for bank in banks]
         shape = (self.trials, self.n)
@@ -185,8 +284,6 @@ class _MultiMessageKernelBase:
         # index by identity instead of payload inspection; the
         # ``messages`` lists pin the objects, so ids stay unique.
         self._index_by_id: dict[int, int] = {}
-        self._r = -1
-        self._probs: Optional[np.ndarray] = None
 
     def _ingest_knowledge(self, t: int, u: int, messages: Sequence[Message]) -> None:
         """Seed node (t, u)'s knowledge log from its initial messages."""
@@ -214,21 +311,28 @@ class _MultiMessageKernelBase:
         self.klen[t, u] = length + 1
         return True
 
-    def _delivery_index(self, t: int, delivery: Delivery) -> Optional[int]:
-        """The message index a delivery carries, or None for foreign ones.
+    def message_for(self, t: int, u: int) -> Message:
+        """The log entry node ``u`` rotates to this round (offset by id)."""
+        index = self.order[t, u, (self._r + u) % int(self.klen[t, u])]
+        return self.messages[t][int(index)]
 
-        Fast path: kernel lanes mint every transmitted message through
+    def _learners(self, t: int, deliveries: Sequence[Delivery]) -> list[int]:
+        """Log each delivered message; the receivers that learned one.
+
+        Kernel lanes mint every transmitted message through
         :meth:`message_for`, so deliveries carry the canonical objects
-        and resolve by identity. The payload-inspection fallback keeps
-        parity for any non-canonical (but valid) message object.
+        and resolve by identity; payload inspection keeps parity for
+        any non-canonical (but valid) message object.
         """
-        message = delivery.message
-        index = self._index_by_id.get(id(message))
-        if index is not None:
-            return index
-        if not message.is_data():
-            return None
-        return self.assignments[t].index_of(message.payload)
+        learners = []
+        for delivery in deliveries:
+            message = delivery.message
+            index = self._index_by_id.get(id(message))
+            if index is None and message.is_data():
+                index = self.assignments[t].index_of(message.payload)
+            if index is not None and self._learn(t, delivery.receiver, index):
+                learners.append(delivery.receiver)
+        return learners
 
 
 class _GklnBankKernel(_MultiMessageKernelBase):
@@ -242,34 +346,13 @@ class _GklnBankKernel(_MultiMessageKernelBase):
     by one vectorized division instead of a per-node ``while`` loop.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.multi_message import GklnMultiMessageProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not GklnMultiMessageProcess:
-                return False
-            for process in bank:
-                if type(process) is not GklnMultiMessageProcess:
-                    return False
-                if (
-                    process.assignment is not first.assignment
-                    or process.window != first.window
-                    or process.rungs != first.rungs
-                    or process.persist_probability != first.persist_probability
-                ):
-                    return False
-        return True
+    lane_params = ("assignment", "window", "rungs", "persist_probability")
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
         super().__init__(banks)
-        lane_col = lambda attr: np.array(  # noqa: E731 - tiny local helper
-            [[getattr(bank[0], attr)] for bank in banks]
-        )
-        self.window = lane_col("window").astype(np.int64)
-        self.rungs = lane_col("rungs").astype(np.int64)
-        self.persist = lane_col("persist_probability").astype(np.float64)
+        self.window = _lane_column(banks, "window", np.int64)
+        self.rungs = _lane_column(banks, "rungs", np.int64)
+        self.persist = _lane_column(banks, "persist_probability", np.float64)
         self.qhead = np.zeros((self.trials, self.n), dtype=np.int64)
         self.head_start = np.full((self.trials, self.n), -1, dtype=np.int64)
         for t, bank in enumerate(banks):
@@ -279,11 +362,7 @@ class _GklnBankKernel(_MultiMessageKernelBase):
                 if process._head_start is not None:
                     self.head_start[t, u] = process._head_start
 
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
+    def _plan(self, r: int) -> np.ndarray:
         head_start, qhead, klen = self.head_start, self.qhead, self.klen
         # Fold elapsed ack windows: every full window pops one head.
         started = head_start >= 0
@@ -303,25 +382,18 @@ class _GklnBankKernel(_MultiMessageKernelBase):
         # background duty cycle; everyone else is silent.
         ladder = decay_ladder(r - head_start, self.rungs)
         background = np.where((klen > 0) & (self.persist > 0.0), self.persist, 0.0)
-        self._probs = np.where(serving, ladder, background)
-        return self._probs
+        return np.where(serving, ladder, background)
 
     def message_for(self, t: int, u: int) -> Message:
-        """The message lane ``t``'s node ``u`` transmitted this round."""
+        """The queue head while serving, the rotation while idle."""
         if self.head_start[t, u] >= 0:
-            index = self.order[t, u, self.qhead[t, u]]
-        else:
-            index = self.order[t, u, (self._r + u) % int(self.klen[t, u])]
-        return self.messages[t][int(index)]
+            return self.messages[t][int(self.order[t, u, self.qhead[t, u]])]
+        return super().message_for(t, u)
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """Sparse reception feedback (idle/transmit feedback are no-ops)."""
-        for delivery in deliveries:
-            index = self._delivery_index(t, delivery)
-            if index is None:
-                continue
-            u = delivery.receiver
-            if self._learn(t, u, index) and self.head_start[t, u] < 0:
+        for u in self._learners(t, deliveries):
+            if self.head_start[t, u] < 0:
                 # The queue was idle: the window opens next round.
                 self.head_start[t, u] = r + 1
 
@@ -335,84 +407,50 @@ class _BackoffBankKernel(_MultiMessageKernelBase):
     ``ldexp``) and rotate through their knowledge log offset by node id.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.multi_message import BackoffMultiMessageProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not BackoffMultiMessageProcess:
-                return False
-            for process in bank:
-                if type(process) is not BackoffMultiMessageProcess:
-                    return False
-                if (
-                    process.assignment is not first.assignment
-                    or process.regime != first.regime
-                    or process.backoff_window != first.backoff_window
-                    or process.base_probability != first.base_probability
-                    or process.min_probability != first.min_probability
-                ):
-                    return False
-        return True
+    lane_params = (
+        "assignment",
+        "regime",
+        "backoff_window",
+        "base_probability",
+        "min_probability",
+    )
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
         super().__init__(banks)
-        self.exponential = np.array(
-            [[bank[0].regime == "exponential"] for bank in banks]
-        )
-        self.backoff_window = np.array(
-            [[bank[0].backoff_window] for bank in banks], dtype=np.int64
-        )
-        self.base = np.array(
-            [[bank[0].base_probability] for bank in banks], dtype=np.float64
-        )
-        self.floor = np.array(
-            [[bank[0].min_probability] for bank in banks], dtype=np.float64
-        )
+        self.exponential = _lane_column(banks, "regime") == "exponential"
+        self.backoff_window = _lane_column(banks, "backoff_window", np.int64)
+        self.base = _lane_column(banks, "base_probability", np.float64)
+        self.floor = _lane_column(banks, "min_probability", np.float64)
         self.last_new = np.zeros((self.trials, self.n), dtype=np.int64)
         for t, bank in enumerate(banks):
             for u, process in enumerate(bank):
                 self._ingest_knowledge(t, u, list(process._known))
 
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
+    def _plan(self, r: int) -> np.ndarray:
         epoch = np.maximum(0, r - self.last_new) // self.backoff_window
         backed = np.maximum(self.floor, self.base * np.ldexp(1.0, -epoch))
         rate = np.where(self.exponential, backed, self.base)
-        self._probs = np.where(self.klen > 0, rate, 0.0)
-        return self._probs
-
-    def message_for(self, t: int, u: int) -> Message:
-        """The message lane ``t``'s node ``u`` transmitted this round."""
-        index = self.order[t, u, (self._r + u) % int(self.klen[t, u])]
-        return self.messages[t][int(index)]
+        return np.where(self.klen > 0, rate, 0.0)
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """Sparse reception feedback (idle/transmit feedback are no-ops)."""
-        for delivery in deliveries:
-            index = self._delivery_index(t, delivery)
-            if index is None:
-                continue
-            if self._learn(t, delivery.receiver, index):
-                # New knowledge resets the back-off clock from next round.
-                self.last_new[t, delivery.receiver] = r + 1
+        for u in self._learners(t, deliveries):
+            # New knowledge resets the back-off clock from next round.
+            self.last_new[t, u] = r + 1
 
 
 # ----------------------------------------------------------------------
-# Vectorized protocol kernels: single-message decay family
+# Single-message family: local and global broadcast
 # ----------------------------------------------------------------------
-class _SingleMessageKernelBase:
-    """Shared scaffolding for the single-message decay-family kernels.
+class _SingleMessageKernelBase(_KernelBase):
+    """Shared scaffolding for the single-message kernels.
 
     These protocols share one structural property the kernels exploit:
     in any given round, every transmitting node of a lane declares the
     *same* probability (a ladder rung, a schedule rung, a constant
     rate, or the certain 1.0 of a slot/announcement). Each kernel's
-    :meth:`probabilities` therefore fills, per lane:
+    :meth:`_plan` therefore goes through :meth:`_shared_rung`, which
+    fills, per lane:
 
     * ``_counts[t]`` — how many nodes hold the live probability;
     * ``_rungs[t]``  — that probability.
@@ -423,10 +461,12 @@ class _SingleMessageKernelBase:
     same real number once), so it is bit-identical to the reference
     engine's fsum — the licence round skipping needs.
 
-    State changes ride deliveries only (eligibility pins the exact
-    process types, whose idle/transmit feedback are no-ops), so each
-    kernel's schedule state can prove the coming rounds silent: its
-    :meth:`next_active_round` is the kernel's one skip licence.
+    ``has_message`` is the (T, n) grid of nodes that hold a message:
+    the broadcasters of a local broadcast, the informed nodes of a
+    global one. State changes ride deliveries only (eligibility pins
+    the exact process types, whose idle/transmit feedback are no-ops),
+    so each kernel's schedule state can prove the coming rounds silent:
+    its :meth:`next_active_round` is the kernel's one skip licence.
     ``supports_skip`` stays True and bank lanes keep event-driven
     skipping, compounding with the struct-of-arrays plan stage.
     """
@@ -434,21 +474,28 @@ class _SingleMessageKernelBase:
     supports_skip = True
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
-        self.trials = len(banks)
-        self.n = len(banks[0])
-        self._r = -1
-        self._probs: Optional[np.ndarray] = None
+        super().__init__(banks)
+        self._ones = np.ones((self.trials, 1))
         self._counts: Optional[np.ndarray] = None
         self._rungs: Optional[np.ndarray] = None
 
+    def _shared_rung(
+        self, active: np.ndarray, rung: np.ndarray, counts: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Probabilities where lane ``t``'s active nodes all hold ``rung[t]``.
+
+        ``rung`` is a (T, 1) column; ``counts`` may pass a precomputed
+        ``active.sum(axis=1)``. Rungs are finite and non-negative, so
+        the product is exactly the rung or ``+0.0``.
+        """
+        self._counts = active.sum(axis=1) if counts is None else counts
+        self._rungs = rung[:, 0]
+        return active * rung
+
     def expected_exact(self, t: int, r: int) -> float:
         """The round's expected transmitter count, bit-identical to fsum."""
-        if r != self._r:
-            self.probabilities(r)
-        count = int(self._counts[t])
-        if not count:
-            return 0.0
-        return count * float(self._rungs[t])
+        self.probabilities(r)
+        return int(self._counts[t]) * float(self._rungs[t])
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """Reception feedback; the static schedules have none."""
@@ -463,22 +510,86 @@ class _SingleMessageKernelBase:
         never transmits again without a delivery. The promise holds
         regardless of what round ``r`` itself did, so the scheduler
         may skip from a silent round and straight from one slot round
-        to the next alike. The default promises nothing beyond the
-        next round, disabling skipping for kernels that don't override
-        it.
+        to the next alike.
         """
-        return r + 1
+        raise NotImplementedError
 
-    def _announcement_round(self, source: np.ndarray) -> np.ndarray:
+
+class _LocalKernelBase(_SingleMessageKernelBase):
+    """Local broadcast: a fixed broadcaster set, each node its own message.
+
+    Role rule: a node is a broadcaster iff it has a message. Roles
+    never change, so ``has_message`` is the broadcaster grid and
+    ``_bcount`` its per-lane size.
+    """
+
+    @staticmethod
+    def _role_ok(process: Process, u: int) -> bool:
+        return process.is_broadcaster == (process.message is not None)
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.has_message = _node_grid(banks, "is_broadcaster", bool)
+        self.messages = [[process.message for process in bank] for bank in banks]
+        self._bcount = self.has_message.sum(axis=1)
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Broadcasters carry per-node messages (origin = own id)."""
+        return self.messages[t][u]
+
+
+class _GlobalKernelBase(_SingleMessageKernelBase):
+    """Global broadcast: one source's message, relayed once received.
+
+    Role rule: a node has a message iff it is the lane's source.
+    ``has_message`` starts at the source and grows by :meth:`_adopt` —
+    the first data reception — and every transmitter relays the lane's
+    canonical message.
+    """
+
+    lane_params: tuple[str, ...] = ("source",)
+
+    @staticmethod
+    def _role_ok(process: Process, u: int) -> bool:
+        return (process.message is not None) == (u == process.source)
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.source = _lane_column(banks, "source", np.int64)
+        self.message = [
+            bank[int(source)].message for bank, source in zip(banks, self.source[:, 0])
+        ]
+        self.has_message = np.arange(self.n) == self.source
+
+    def message_for(self, t: int, u: int) -> Message:
+        """Every transmitter relays the trial's canonical message."""
+        return self.message[t]
+
+    def _announcement(self) -> np.ndarray:
         """Round-0 probabilities: the certain source announcement."""
-        probs = np.zeros((self.trials, self.n))
-        probs[np.arange(self.trials), source] = 1.0
-        self._counts = np.ones(self.trials, dtype=np.int64)
-        self._rungs = np.ones(self.trials)
-        return probs
+        return self._shared_rung(np.arange(self.n) == self.source, self._ones)
+
+    @staticmethod
+    def _adoptable(message: Message) -> bool:
+        return message.is_data()
+
+    def _adopt(self, t: int, deliveries: Sequence[Delivery]) -> list[int]:
+        """Mark first receptions of the message; the adopting receivers."""
+        has_message = self.has_message
+        adopted = []
+        for delivery in deliveries:
+            u = delivery.receiver
+            if not has_message[t, u] and self._adoptable(delivery.message):
+                has_message[t, u] = True
+                adopted.append(u)
+        return adopted
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """First data reception adopts the message."""
+        self._adopt(t, deliveries)
 
 
-class _PlainDecayBankKernel(_SingleMessageKernelBase):
+class _PlainDecayBankKernel(_GlobalKernelBase):
     """All trials of a BGI plain-decay bank, as arrays.
 
     Mirrors :class:`~repro.algorithms.decay.PlainDecayGlobalProcess`:
@@ -489,75 +600,33 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
     boundary exactly like ``on_feedback``.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.decay import PlainDecayGlobalProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not PlainDecayGlobalProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not PlainDecayGlobalProcess:
-                    return False
-                if (
-                    process.source != first.source
-                    or process.phase_length != first.phase_length
-                    # A finite active window re-ties the plan to each
-                    # node's join round; the generic lanes handle it.
-                    or process.active_phases is not None
-                ):
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
+    lane_params = _GlobalKernelBase.lane_params + ("phase_length",)
+    unbounded = ("active_phases",)
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
         super().__init__(banks)
-        self.phase = np.array(
-            [[bank[0].phase_length] for bank in banks], dtype=np.int64
-        )
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
+        self.phase = _lane_column(banks, "phase_length", np.int64)
         self.start = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
-        self.message: list[Message] = []
         for t, bank in enumerate(banks):
             for u, process in enumerate(bank):
                 if process.participate_from is not None:
                     self.start[t, u] = process.participate_from
-            self.message.append(bank[int(self.source[t])].message)
 
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
+    def _plan(self, r: int) -> np.ndarray:
         if r == 0:
-            self._probs = self._announcement_round(self.source)
-            return self._probs
-        active = self.start <= r
-        rung = decay_ladder(r - 1, self.phase)  # (T, 1): shared rung
-        self._probs = np.where(active, rung, 0.0)
-        self._counts = active.sum(axis=1)
-        self._rungs = rung[:, 0]
-        return self._probs
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Every transmitter relays the trial's canonical message."""
-        return self.message[t]
+            return self._announcement()
+        return self._shared_rung(self.start <= r, decay_ladder(r - 1, self.phase))
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """First data reception adopts; join at the next phase boundary."""
-        start = self.start
-        phase = int(self.phase[t, 0])
-        for delivery in deliveries:
-            u = delivery.receiver
-            if start[t, u] != _NEVER or not delivery.message.is_data():
-                continue
+        adopted = self._adopt(t, deliveries)
+        if adopted:
             # Same arithmetic as on_feedback: the next round r+1, pushed
             # to the boundary of the global phase clock (epoch offset 1).
+            phase = int(self.phase[t, 0])
             remainder = r % phase
             wait = 0 if remainder == 0 else phase - remainder
-            start[t, u] = r + 1 + wait
+            self.start[t, adopted] = r + 1 + wait
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         start = self.start[t]
@@ -569,7 +638,7 @@ class _PlainDecayBankKernel(_SingleMessageKernelBase):
         return max(r + 1, int(informed.min()))
 
 
-class _PermutedDecayBankKernel(_SingleMessageKernelBase):
+class _PermutedDecayBankKernel(_GlobalKernelBase):
     """All trials of a Section-4.1 permuted-decay bank, as arrays.
 
     Mirrors :class:`~repro.algorithms.global_broadcast.ObliviousGlobalBroadcastProcess`:
@@ -580,85 +649,43 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
     epoch, so the round's rung is one schedule lookup per lane.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.global_broadcast import ObliviousGlobalBroadcastProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not ObliviousGlobalBroadcastProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not ObliviousGlobalBroadcastProcess:
-                    return False
-                if (
-                    process.source != first.source
-                    or process.schedule != first.schedule
-                    or process.num_chunks != first.num_chunks
-                    # A finite epoch budget re-ties the plan to each
-                    # node's join epoch; the generic lanes handle it.
-                    or process.epochs_per_node is not None
-                ):
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
+    lane_params = _GlobalKernelBase.lane_params + ("schedule", "num_chunks")
+    unbounded = ("epochs_per_node",)
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
         super().__init__(banks)
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
         self.schedule = [bank[0].schedule for bank in banks]
         self.num_chunks = [bank[0].num_chunks for bank in banks]
         self.epoch_len = [bank[0].epoch_length for bank in banks]
-        self.message = [bank[int(self.source[t])].message for t, bank in enumerate(banks)]
         self.shared = [message.shared_bits for message in self.message]
         self.join_epoch = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
 
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
+    def _plan(self, r: int) -> np.ndarray:
         if r == 0:
-            self._probs = self._announcement_round(self.source)
-            return self._probs
-        probs = np.empty((self.trials, self.n))
-        counts = np.empty(self.trials, dtype=np.int64)
-        rungs = np.empty(self.trials)
+            return self._announcement()
+        epochs = np.empty((self.trials, 1), dtype=np.int64)
+        rungs = np.empty((self.trials, 1))
         for t in range(self.trials):
             epoch, round_in_epoch = divmod(r, self.epoch_len[t])
             schedule = self.schedule[t]
             chunk_offset = (epoch % self.num_chunks[t]) * schedule.bits_per_call
             # One schedule lookup serves the lane's whole active set —
             # the same call plan() makes, so the float is identical.
-            p = schedule.probability(self.shared[t], chunk_offset, round_in_epoch)
-            active = self.join_epoch[t] <= epoch
-            np.multiply(active, p, out=probs[t])
-            counts[t] = active.sum()
-            rungs[t] = p
-        self._probs = probs
-        self._counts = counts
-        self._rungs = rungs
-        return probs
+            epochs[t] = epoch
+            rungs[t] = schedule.probability(self.shared[t], chunk_offset, round_in_epoch)
+        return self._shared_rung(self.join_epoch <= epochs, rungs)
 
-    def message_for(self, t: int, u: int) -> Message:
-        """Every transmitter relays the trial's canonical ⟨m', S⟩."""
-        return self.message[t]
+    @staticmethod
+    def _adoptable(message: Message) -> bool:
+        return message.is_data() and message.shared_bits is not None
 
     def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
         """First ⟨m', S⟩ reception adopts; join at the next epoch boundary."""
-        join = self.join_epoch
-        source = int(self.source[t])
-        epoch_len = self.epoch_len[t]
-        for delivery in deliveries:
-            u = delivery.receiver
-            if u == source or join[t, u] != _NEVER:
-                continue
-            message = delivery.message
-            if not message.is_data() or message.shared_bits is None:
-                continue
+        adopted = self._adopt(t, deliveries)
+        if adopted:
             # First epoch boundary strictly after this round.
-            join[t, u] = (r + 1 + epoch_len - 1) // epoch_len
+            epoch_len = self.epoch_len[t]
+            self.join_epoch[t, adopted] = (r + 1 + epoch_len - 1) // epoch_len
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         joins = self.join_epoch[t]
@@ -670,7 +697,7 @@ class _PermutedDecayBankKernel(_SingleMessageKernelBase):
         return max(r + 1, int(joined.min()) * self.epoch_len[t])
 
 
-class _StaticDecayBankKernel(_SingleMessageKernelBase):
+class _StaticDecayBankKernel(_LocalKernelBase):
     """All trials of an [8]-style static local decay bank, as arrays.
 
     Mirrors :class:`~repro.algorithms.local_static.StaticLocalDecayProcess`:
@@ -679,227 +706,85 @@ class _StaticDecayBankKernel(_SingleMessageKernelBase):
     masked ladder broadcast per round.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.local_static import StaticLocalDecayProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not StaticLocalDecayProcess:
-                return False
-            for process in bank:
-                if type(process) is not StaticLocalDecayProcess:
-                    return False
-                if process.phase_length != first.phase_length:
-                    return False
-                if process.is_broadcaster != (process.message is not None):
-                    return False
-        return True
+    lane_params = ("phase_length",)
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
         super().__init__(banks)
-        self.phase = np.array(
-            [[bank[0].phase_length] for bank in banks], dtype=np.int64
-        )
-        self.broadcaster = np.array(
-            [[process.is_broadcaster for process in bank] for bank in banks]
-        )
-        self.messages = [[process.message for process in bank] for bank in banks]
-        self._bcount = self.broadcaster.sum(axis=1)
+        self.phase = _lane_column(banks, "phase_length", np.int64)
 
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
-        rung = decay_ladder(r, self.phase)  # (T, 1): the public ladder
-        self._probs = np.where(self.broadcaster, rung, 0.0)
-        self._counts = self._bcount
-        self._rungs = rung[:, 0]
-        return self._probs
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Broadcasters carry per-node messages (origin = own id)."""
-        return self.messages[t][u]
+    def _plan(self, r: int) -> np.ndarray:
+        return self._shared_rung(
+            self.has_message, decay_ladder(r, self.phase), self._bcount
+        )
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         # Broadcasters ride the public ladder every round, forever.
         return r + 1 if int(self._bcount[t]) else None
 
 
-class _RoundRobinLocalBankKernel(_SingleMessageKernelBase):
+class _SlotPlan:
+    """Footnotes 4–5: a node with a message transmits (certainly) iff
+    ``r ≡ slots[u] (mod n)``, so the plan is one equality compare.
+
+    Mixed into a local or global kernel base, which supplies
+    ``has_message``.
+    """
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.slots = _node_grid(banks, "slot", np.int64)
+
+    def _plan(self, r: int) -> np.ndarray:
+        return self._shared_rung(self.has_message & (self.slots == r % self.n), self._ones)
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        """First round *strictly* after ``r`` on which any held slot fires.
+
+        A slot firing at ``r`` itself maps a full cycle forward: the
+        skip licence asks "when does the *next* slot land?", possibly
+        while standing on one.
+        """
+        slots = self.slots[t][self.has_message[t]]
+        if slots.size == 0:
+            return None
+        if self.n == 1:
+            return r + 1
+        return r + 1 + int(((slots - (r + 1)) % self.n).min())
+
+
+class _RoundRobinLocalBankKernel(_SlotPlan, _LocalKernelBase):
     """All trials of a footnote-4 round-robin local bank, as arrays.
 
     Mirrors :class:`~repro.algorithms.round_robin.RoundRobinLocalProcess`:
-    broadcaster ``u`` transmits (certainly) iff ``r ≡ slots[u] (mod n)``;
-    roles and slots never change, so the plan is one equality compare.
+    broadcaster ``u`` transmits in its slot; roles and slots never
+    change.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.round_robin import RoundRobinLocalProcess
 
-        for bank in banks:
-            for process in bank:
-                if type(process) is not RoundRobinLocalProcess:
-                    return False
-                if process.is_broadcaster != (process.message is not None):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.slots = np.array(
-            [[process.slot for process in bank] for bank in banks], dtype=np.int64
-        )
-        self.role = np.array(
-            [[process.is_broadcaster for process in bank] for bank in banks]
-        )
-        self.messages = [[process.message for process in bank] for bank in banks]
-
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
-        certain = self.role & (self.slots == r % self.n)
-        self._probs = certain.astype(np.float64)
-        self._counts = certain.sum(axis=1)
-        self._rungs = np.ones(self.trials)
-        return self._probs
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Broadcasters carry per-node messages (origin = own id)."""
-        return self.messages[t][u]
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        return _next_slot_round_after(self.slots[t][self.role[t]], r, self.n)
-
-
-class _RoundRobinGlobalBankKernel(_SingleMessageKernelBase):
+class _RoundRobinGlobalBankKernel(_SlotPlan, _GlobalKernelBase):
     """All trials of a footnote-5 round-robin global bank, as arrays.
 
     Mirrors :class:`~repro.algorithms.round_robin.RoundRobinGlobalProcess`:
-    informed nodes transmit (certainly) in their slot and adopt the
-    message on first data reception.
+    informed nodes transmit in their slot and adopt the message on
+    first data reception.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.round_robin import RoundRobinGlobalProcess
 
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not RoundRobinGlobalProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not RoundRobinGlobalProcess:
-                    return False
-                if process.source != first.source:
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.slots = np.array(
-            [[process.slot for process in bank] for bank in banks], dtype=np.int64
-        )
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
-        self.message = [bank[int(self.source[t])].message for t, bank in enumerate(banks)]
-        self.informed = np.zeros((self.trials, self.n), dtype=bool)
-        self.informed[np.arange(self.trials), self.source] = True
-
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
-        certain = self.informed & (self.slots == r % self.n)
-        self._probs = certain.astype(np.float64)
-        self._counts = certain.sum(axis=1)
-        self._rungs = np.ones(self.trials)
-        return self._probs
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Every transmitter relays the trial's canonical message."""
-        return self.message[t]
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """First data reception adopts the message (slot is unchanged)."""
-        informed = self.informed
-        for delivery in deliveries:
-            u = delivery.receiver
-            if not informed[t, u] and delivery.message.is_data():
-                informed[t, u] = True
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        return _next_slot_round_after(self.slots[t][self.informed[t]], r, self.n)
-
-
-def _next_slot_round_after(slots: np.ndarray, r: int, n: int) -> Optional[int]:
-    """First round *strictly* after ``r`` on which any of ``slots`` fires.
-
-    A slot firing at ``r`` itself maps a full cycle forward: the skip
-    licence asks "when does the *next* slot land?", possibly while
-    standing on one.
-    """
-    if slots.size == 0:
-        return None
-    if n == 1:
-        return r + 1
-    return r + 1 + int(((slots - (r + 1)) % n).min())
-
-
-class _UniformLocalBankKernel(_SingleMessageKernelBase):
+class _UniformLocalBankKernel(_LocalKernelBase):
     """All trials of a constant-rate local bank, as arrays.
 
     Mirrors :class:`~repro.algorithms.uniform.UniformLocalProcess`:
     broadcasters transmit at the fixed rate forever; no feedback.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.uniform import UniformLocalProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not UniformLocalProcess:
-                return False
-            for process in bank:
-                if type(process) is not UniformLocalProcess:
-                    return False
-                if process.probability != first.probability:
-                    return False
-                if process.is_broadcaster != (process.message is not None):
-                    return False
-        return True
+    lane_params = ("probability",)
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
         super().__init__(banks)
-        self.rate = np.array(
-            [[bank[0].probability] for bank in banks], dtype=np.float64
-        )
-        self.broadcaster = np.array(
-            [[process.is_broadcaster for process in bank] for bank in banks]
-        )
-        self.messages = [[process.message for process in bank] for bank in banks]
-        self._bcount = self.broadcaster.sum(axis=1)
+        self.rate = _lane_column(banks, "probability", np.float64)
 
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
-        self._probs = np.where(self.broadcaster, self.rate, 0.0)
-        self._counts = self._bcount
-        self._rungs = self.rate[:, 0]
-        return self._probs
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Broadcasters carry per-node messages (origin = own id)."""
-        return self.messages[t][u]
+    def _plan(self, r: int) -> np.ndarray:
+        return self._shared_rung(self.has_message, self.rate, self._bcount)
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         if int(self._bcount[t]) and float(self.rate[t, 0]) > 0.0:
@@ -907,7 +792,7 @@ class _UniformLocalBankKernel(_SingleMessageKernelBase):
         return None
 
 
-class _UniformGlobalBankKernel(_SingleMessageKernelBase):
+class _UniformGlobalBankKernel(_GlobalKernelBase):
     """All trials of a constant-rate global bank, as arrays.
 
     Mirrors :class:`~repro.algorithms.uniform.UniformGlobalProcess`:
@@ -915,60 +800,16 @@ class _UniformGlobalBankKernel(_SingleMessageKernelBase):
     fixed rate, adopting on first data reception.
     """
 
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        from repro.algorithms.uniform import UniformGlobalProcess
-
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not UniformGlobalProcess:
-                return False
-            for u, process in enumerate(bank):
-                if type(process) is not UniformGlobalProcess:
-                    return False
-                if (
-                    process.source != first.source
-                    or process.probability != first.probability
-                ):
-                    return False
-                if (process.message is not None) != (u == first.source):
-                    return False
-        return True
+    lane_params = _GlobalKernelBase.lane_params + ("probability",)
 
     def __init__(self, banks: Sequence[Sequence]) -> None:
         super().__init__(banks)
-        self.rate = np.array(
-            [[bank[0].probability] for bank in banks], dtype=np.float64
-        )
-        self.source = np.array([bank[0].source for bank in banks], dtype=np.int64)
-        self.message = [bank[int(self.source[t])].message for t, bank in enumerate(banks)]
-        self.informed = np.zeros((self.trials, self.n), dtype=bool)
-        self.informed[np.arange(self.trials), self.source] = True
+        self.rate = _lane_column(banks, "probability", np.float64)
 
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r == self._r:
-            return self._probs
-        self._r = r
+    def _plan(self, r: int) -> np.ndarray:
         if r == 0:
-            self._probs = self._announcement_round(self.source)
-            return self._probs
-        self._probs = np.where(self.informed, self.rate, 0.0)
-        self._counts = self.informed.sum(axis=1)
-        self._rungs = self.rate[:, 0]
-        return self._probs
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Every transmitter relays the trial's canonical message."""
-        return self.message[t]
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """First data reception adopts the message."""
-        informed = self.informed
-        for delivery in deliveries:
-            u = delivery.receiver
-            if not informed[t, u] and delivery.message.is_data():
-                informed[t, u] = True
+            return self._announcement()
+        return self._shared_rung(self.has_message, self.rate)
 
     def next_active_round(self, t: int, r: int) -> Optional[int]:
         if r == 0 or float(self.rate[t, 0]) > 0.0:
@@ -979,38 +820,39 @@ class _UniformGlobalBankKernel(_SingleMessageKernelBase):
         return None
 
 
-_KERNELS = (
-    _GklnBankKernel,
-    _BackoffBankKernel,
-    _PlainDecayBankKernel,
-    _PermutedDecayBankKernel,
-    _StaticDecayBankKernel,
-    _RoundRobinLocalBankKernel,
-    _RoundRobinGlobalBankKernel,
-    _UniformLocalBankKernel,
-    _UniformGlobalBankKernel,
-)
+#: The kernel for each exact process class it mirrors.
+_KERNELS: dict[type, type[_KernelBase]] = {
+    GklnMultiMessageProcess: _GklnBankKernel,
+    BackoffMultiMessageProcess: _BackoffBankKernel,
+    PlainDecayGlobalProcess: _PlainDecayBankKernel,
+    ObliviousGlobalBroadcastProcess: _PermutedDecayBankKernel,
+    StaticLocalDecayProcess: _StaticDecayBankKernel,
+    RoundRobinLocalProcess: _RoundRobinLocalBankKernel,
+    RoundRobinGlobalProcess: _RoundRobinGlobalBankKernel,
+    UniformLocalProcess: _UniformLocalBankKernel,
+    UniformGlobalProcess: _UniformGlobalBankKernel,
+}
 
 
 def build_bank_kernel(banks: Sequence[Sequence]):
     """A vectorized protocol kernel for these process banks, or ``None``.
 
-    ``banks[t]`` is trial ``t``'s per-node process list. A kernel is
-    built only when *every* process of every lane belongs to the same
-    supported protocol family with compatible parameters; anything else
-    returns ``None`` and the lanes run the reference engine's per-node
-    plan and feedback stages (still coin/reception-batched by the
-    scheduler — this is a capability probe, not a fallback to a slower
-    engine).
+    ``banks[t]`` is trial ``t``'s per-node process list. The first
+    node's exact class selects the one candidate kernel, which is built
+    only when *every* process of every lane fits its declaration
+    (:meth:`_KernelBase.eligible`); anything else returns ``None`` and
+    the lanes run the reference engine's per-node plan and feedback
+    stages (still coin/reception-batched by the scheduler — this is a
+    capability probe, not a fallback to a slower engine).
     """
     if not banks or not banks[0]:
         return None
     if any(len(bank) != len(banks[0]) for bank in banks):
         return None
-    for kernel_cls in _KERNELS:
-        if kernel_cls.eligible(banks):
-            _obs_inc("bank.kernel.hit")
-            return kernel_cls(banks)
+    kernel_cls = _KERNELS.get(type(banks[0][0]))
+    if kernel_cls is not None and kernel_cls.eligible(banks):
+        _obs_inc("bank.kernel.hit")
+        return kernel_cls(banks)
     # Not a slower path (the lanes stay coin/reception-batched), but a
     # measurable one: per-trial plan stages instead of one kernel.
     _obs_inc("bank.kernel.fallback")
@@ -1092,13 +934,11 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
         # hence exact in float64.
         n = network.n
         self._sender_encoding = 1.0 + np.arange(1, n + 1, dtype=np.float64) * (n + 1)
-        self._matrix_cache: dict[int, np.ndarray] = {}
-        self._matrix_keepalive: list = []
+        self._matrix_cache: dict[int, tuple] = {}
         self._validated_topologies: dict[int, object] = {}
         # Packed uint64 neighborhood matrices for the solo-cover
         # reception (n beyond the dense-batch cap).
-        self._packed_cache: dict[int, np.ndarray] = {}
-        self._packed_keepalive: list = []
+        self._packed_cache: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Runs go through the lockstep scheduler
@@ -1239,31 +1079,56 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
             counts["rounds.executed"] = counts.get("rounds.executed", 0) + 1
         return record
 
+    def _topology_cached(
+        self, cache: dict, kind: str, max_n: int, masks: tuple[int, ...], build
+    ) -> Optional[np.ndarray]:
+        """The id-keyed per-topology cache behind the dense and packed paths.
+
+        ``None`` past ``max_n`` nodes, or on a miss once the cache holds
+        ``_MATRIX_CACHE_SIZE`` topologies (topology churn: the bigint
+        scan is cheaper); otherwise the cached or freshly ``build()``-ed
+        value. Entries store ``(masks, value)`` so the keyed tuple stays
+        alive and its id unique. Lookups count as ``cache.<kind>.hit``
+        and ``cache.<kind>.miss`` when traced.
+        """
+        if self.network.n > max_n:
+            return None
+        counts = self._trace_counts if self._trace is not None else None
+        key = id(masks)
+        entry = cache.get(key)
+        if entry is not None:
+            if counts is not None:
+                name = f"cache.{kind}.hit"
+                counts[name] = counts.get(name, 0) + 1
+            return entry[1]
+        if counts is not None:
+            name = f"cache.{kind}.miss"
+            counts[name] = counts.get(name, 0) + 1
+        if len(cache) >= _MATRIX_CACHE_SIZE:
+            return None
+        value = build()
+        cache[key] = (masks, value)
+        return value
+
     def _matrix_for(self, masks: tuple[int, ...]) -> Optional[np.ndarray]:
         """Dense neighbor matrix for a round topology, if worth caching."""
         network = self.network
-        counts = self._trace_counts if self._trace is not None else None
-        if network.n > _MATRIX_MAX_N:
-            return None
-        if masks is network.g_masks or masks is network.gp_masks:
-            if counts is not None:
+        if network.n <= _MATRIX_MAX_N and (
+            masks is network.g_masks or masks is network.gp_masks
+        ):
+            # The network keeps its own G and G' matrices: a hit that
+            # takes no cache slot.
+            if self._trace is not None:
+                counts = self._trace_counts
                 counts["cache.matrix.hit"] = counts.get("cache.matrix.hit", 0) + 1
             return network.neighbor_matrix(use_gp=masks is network.gp_masks)
-        key = id(masks)
-        matrix = self._matrix_cache.get(key)
-        if matrix is not None:
-            if counts is not None:
-                counts["cache.matrix.hit"] = counts.get("cache.matrix.hit", 0) + 1
-            return matrix
-        if counts is not None:
-            counts["cache.matrix.miss"] = counts.get("cache.matrix.miss", 0) + 1
-        if len(self._matrix_cache) >= _MATRIX_CACHE_SIZE:
-            return None  # topology churn: the bigint scan is cheaper
-        matrix = masks_to_neighbor_matrix(masks, network.n)
-        self._matrix_cache[key] = matrix
-        # Cache keys are id()s: pin the tuples so ids stay unique.
-        self._matrix_keepalive.append(masks)
-        return matrix
+        return self._topology_cached(
+            self._matrix_cache,
+            "matrix",
+            _MATRIX_MAX_N,
+            masks,
+            lambda: masks_to_neighbor_matrix(masks, network.n),
+        )
 
     def _resolve_candidates(
         self, transmitter_mask: int, masks: Sequence[int]
@@ -1307,30 +1172,13 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
         matrix cache) resolves here: up to ``_PACKED_MAX_N`` the
         uint64-packed rows keep reception word-parallel (64 listeners per machine
         word) with a footprint of ``n²/8`` bytes instead of ``8n²``.
-        Same id-keyed cache discipline as :meth:`_matrix_for`; the rows
-        themselves come from :meth:`RoundTopology.packed_rows`, so a
+        The rows come from :meth:`RoundTopology.packed_rows`, so a
         schedule an adversary published in ``start()`` is shared across
         every engine lane rather than re-packed per engine.
         """
-        n = self.network.n
-        if n > _PACKED_MAX_N:
-            return None
-        counts = self._trace_counts if self._trace is not None else None
-        masks = topology.masks
-        key = id(masks)
-        packed = self._packed_cache.get(key)
-        if packed is not None:
-            if counts is not None:
-                counts["cache.packed.hit"] = counts.get("cache.packed.hit", 0) + 1
-            return packed
-        if counts is not None:
-            counts["cache.packed.miss"] = counts.get("cache.packed.miss", 0) + 1
-        if len(self._packed_cache) >= _MATRIX_CACHE_SIZE:
-            return None  # topology churn: the bigint scan is cheaper
-        packed = topology.packed_rows()
-        self._packed_cache[key] = packed
-        self._packed_keepalive.append(masks)
-        return packed
+        return self._topology_cached(
+            self._packed_cache, "packed", _PACKED_MAX_N, topology.masks, topology.packed_rows
+        )
 
     def _resolve_packed(
         self, transmitter_mask: int, masks: Sequence[int], packed: np.ndarray

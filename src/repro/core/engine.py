@@ -71,6 +71,7 @@ __all__ = [
     "create_engine",
     "resolve_engine_choice",
     "canonical_engine",
+    "warn_engine_fallbacks",
 ]
 
 #: Engine names accepted by ``create_engine`` /
@@ -783,6 +784,23 @@ def resolve_engine_choice(
     return resolved, resolved_skip, notes
 
 
+def warn_engine_fallbacks(
+    notes: Sequence[str], label: Optional[str] = None, *, stacklevel: int
+) -> None:
+    """Emit each fallback note as an :class:`EngineFallbackWarning`.
+
+    ``label`` names the scenario in every message; each warning counts
+    once as ``engine.fallback.warned``. ``stacklevel`` means what it
+    means to :func:`warnings.warn` called from this function's caller,
+    so the warning reports the same source location it would there.
+    """
+    for note in notes:
+        if label:
+            note = f"{note} [scenario: {label}]"
+        _obs_inc("engine.fallback.warned")
+        warnings.warn(note, EngineFallbackWarning, stacklevel=stacklevel + 1)
+
+
 def create_engine(
     network,
     processes: Sequence[Process],
@@ -826,11 +844,7 @@ def create_engine(
         engine, processes, link_process, skip=skip
     )
     if warn:
-        for note in notes:
-            if label:
-                note = f"{note} [scenario: {label}]"
-            _obs_inc("engine.fallback.warned")
-            warnings.warn(note, EngineFallbackWarning, stacklevel=2)
+        warn_engine_fallbacks(notes, label, stacklevel=2)
     if resolved == "bank":
         from repro.core.bankpath import BankRadioNetworkEngine
 

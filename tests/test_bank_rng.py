@@ -14,24 +14,34 @@ cover the ``LazyRng`` deferred-seeding path for per-node streams.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.analysis.runner import run_bank_trials, run_prepared_trial
 from repro.api.spec import ScenarioSpec
 from repro.core import rng as rng_mod
-from repro.core.bankpath import BankLane, BankRadioNetworkEngine, build_bank_kernel
-from repro.core.bankpath import run_bank_batch
+from repro.core.bankpath import (
+    _KERNELS,
+    BankLane,
+    BankRadioNetworkEngine,
+    build_bank_kernel,
+    run_bank_batch,
+)
 from repro.core.engine import create_engine
+from repro.core.messages import Message, MessageKind
+from repro.core.process import ProcessContext, SilentProcess
 from repro.core.rng import LazyRng, derive_seed
 from repro.core.trace import TraceCollector
 
 MASTER_SEED = 414213562
 
 #: One workload per bank kernel (both MAC kernels and all seven
-#: single-message kernels), a generic-lane workload (plain-decay with a
-#: finite active_phases window, which opts out of the decay kernel),
-#: and the two kernel-less algorithms, whose lanes run the reference
+#: single-message kernels), two generic-lane workloads (plain-decay with
+#: a finite active_phases window and permuted-decay with a finite
+#: epochs_per_node budget, which opt out of their kernels), and the two
+#: kernel-less algorithms, whose lanes run the reference
 #: per-node stages and draw from their per-node LazyRngs (uncoordinated
 #: decay redraws its rung, geo-local flips election coins).
 SPECS = {
@@ -109,6 +119,13 @@ SPECS = {
         adversary=("alternating", {"phase_lengths": [2, 3]}),
         engine="bank",
     ),
+    "generic-lane-permuted": ScenarioSpec(
+        graph=("funnel", {"n": 14}),
+        problem=("global-broadcast", {"source": 0}),
+        algorithm=("permuted-decay", {"epochs_per_node": 2}),
+        adversary=("cut-jammer", {"period": 4, "dense_rounds": 1, "side": "first-half"}),
+        engine="bank",
+    ),
     "lazy-node-rng": ScenarioSpec(
         graph=("grid", {"rows": 3, "cols": 4}),
         problem=("global-broadcast", {"source": 0}),
@@ -141,6 +158,7 @@ EXPECTED_KERNEL = {
     "uniform-local-kernel": "_UniformLocalBankKernel",
     "uniform-global-kernel": "_UniformGlobalBankKernel",
     "generic-lane": None,
+    "generic-lane-permuted": None,
     "lazy-node-rng": None,
     "geo-local": None,
 }
@@ -152,9 +170,9 @@ def _seeds(count: int) -> list[int]:
     return [derive_seed(MASTER_SEED, "trial", index) for index in range(count)]
 
 
-def _bank_lanes(spec: ScenarioSpec, seeds):
-    """Build the bank exactly the way :func:`run_bank_trials` does,
-    keeping the engines accessible for stream inspection."""
+def _banks(spec: ScenarioSpec, seeds):
+    """The built trials and their per-node process banks, built the way
+    :func:`run_bank_trials` builds them."""
     trials = [spec.build(seed) for seed in seeds]
     banks = [
         trial.algorithm.build_processes(
@@ -162,6 +180,13 @@ def _bank_lanes(spec: ScenarioSpec, seeds):
         )
         for trial, seed in zip(trials, seeds)
     ]
+    return trials, banks
+
+
+def _bank_lanes(spec: ScenarioSpec, seeds):
+    """Build the bank exactly the way :func:`run_bank_trials` does,
+    keeping the engines accessible for stream inspection."""
+    trials, banks = _banks(spec, seeds)
     kernel = build_bank_kernel(banks)
     lanes = []
     for lane_index, (trial, seed) in enumerate(zip(trials, seeds)):
@@ -231,6 +256,69 @@ class TestKernelSelection:
                 assert kernel is None
             else:
                 assert type(kernel).__name__ == expected
+
+    def test_kernel_table_is_the_pinned_nine(self):
+        assert {kernel.__name__ for kernel in _KERNELS.values()} == {
+            name for name in EXPECTED_KERNEL.values() if name is not None
+        }
+
+
+def _foreign_node(bank, u):
+    """Swap node ``u`` for a process of another class."""
+    process = bank[u]
+    bank[u] = SilentProcess(
+        ProcessContext(process.node_id, process.ctx.n, process.ctx.max_degree, process.ctx.rng)
+    )
+
+
+def _lane_param(bank, u):
+    """Give node ``u`` its own value of the kernel's first lane parameter."""
+    name = _KERNELS[type(bank[0])].lane_params[0]
+    value = getattr(bank[u], name)
+    if isinstance(value, (int, float)):
+        changed = value + 1
+    else:  # the MAC kernels' MessageAssignment
+        changed = replace(value, sources=value.sources[1:] + value.sources[:1])
+    assert changed != value
+    setattr(bank[u], name, changed)
+
+
+def _role(bank, u):
+    """Break the role rule: take node ``u``'s message, or hand it one."""
+    process = bank[u]
+    if process.message is None:
+        process.message = Message(MessageKind.DATA, origin=u, payload="intruder")
+    else:
+        process.message = None
+
+
+KERNEL_SPECS = sorted(name for name, kernel in EXPECTED_KERNEL.items() if kernel)
+#: One mutation per eligibility rule. Round-robin-local keeps no lane
+#: parameter and the MAC kernels have no role rule.
+REJECTIONS = [
+    (name, mutation)
+    for name in KERNEL_SPECS
+    for mutation in (_foreign_node, _lane_param, _role)
+    if not (mutation is _lane_param and name == "rr-local-kernel")
+    and not (mutation is _role and name in ("gkln-kernel", "backoff-kernel"))
+]
+
+
+class TestKernelRejection:
+    """Each eligibility rule, broken on one non-first node of one lane,
+    sends the whole bank to the generic lanes."""
+
+    @pytest.mark.parametrize(
+        "name, mutation",
+        REJECTIONS,
+        ids=[f"{name}-{mutation.__name__.strip('_')}" for name, mutation in REJECTIONS],
+    )
+    def test_broken_rule_rejects_the_bank(self, name, mutation):
+        _, banks = _banks(SPECS[name], _seeds(3))
+        assert _KERNELS[type(banks[0][0])].eligible(banks)
+        bank = banks[-1]
+        mutation(bank, len(bank) - 1)
+        assert build_bank_kernel(banks) is None
 
 
 class TestPerTrialStreamIdentity:

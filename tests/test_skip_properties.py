@@ -32,17 +32,24 @@ the scenario) is pinned for both executors at the bottom.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.analysis.runner import run_bank_trials, run_prepared_trial
+from repro.adversaries.static import NoFlakyLinks
+from repro.algorithms.base import make_spec
+from repro.analysis.runner import PreparedTrial, run_bank_trials, run_prepared_trial
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
 from repro.core.engine import ENGINE_NAMES, create_engine
 from repro.core.errors import EngineFallbackWarning
 from repro.core.trace import TraceCollector
+from repro.graphs.builders import line_dual
+from repro.obs.recorder import disable, enable
+from repro.problems.global_broadcast import GlobalBroadcastProblem
+from tests.conftest import ScriptedProcess
 
 #: Scenario corpus: (id, spec kwargs, max_rounds, expect_skip) rows.
 #: ``expect_skip`` marks the silence-heavy rows on which a skip-enabled
@@ -426,3 +433,53 @@ class TestFallbackWarningDedup:
 
     def test_silenced_serial_executor_stays_silent(self):
         assert self._collect(SerialExecutor(warn_fallback=False), range(3)) == []
+
+
+class TestSkipContractFallback:
+    """A process class that keeps the base ``next_state_change`` turns a
+    skip request off with one labelled warning, on both warning paths:
+    the bank batch (``run_bank_trials``) and the per-trial engine
+    (``create_engine``)."""
+
+    @staticmethod
+    def _scenario(engine, skip):
+        def scenario(seed):
+            network = line_dual(6)
+            return PreparedTrial(
+                network=network,
+                algorithm=make_spec(
+                    "scripted", lambda ctx: ScriptedProcess(ctx, {0: 1.0})
+                ),
+                link_process=NoFlakyLinks(),
+                problem=GlobalBroadcastProblem(network, 0),
+                max_rounds=20,
+                engine=engine,
+                skip=skip,
+                label="contractless-probe",
+            )
+
+        return scenario
+
+    @pytest.mark.parametrize(
+        "engine, skip, caller",
+        [
+            ("bank", None, os.path.join("repro", "api", "executor.py")),
+            ("reference", True, os.path.join("repro", "analysis", "runner.py")),
+        ],
+    )
+    def test_one_labelled_warning_per_batch(self, engine, skip, caller):
+        rec = enable()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                SerialExecutor().run_trials(self._scenario(engine, skip), range(3))
+        finally:
+            disable()
+        fallback = [w for w in caught if issubclass(w.category, EngineFallbackWarning)]
+        assert len(fallback) == 1
+        message = str(fallback[0].message)
+        assert "ScriptedProcess.next_state_change" in message
+        assert "contractless-probe" in message
+        # The warning points at the code that asked for the engine.
+        assert fallback[0].filename.endswith(caller)
+        assert rec.counters.get("engine.fallback.warned") == 1
