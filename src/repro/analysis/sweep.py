@@ -9,7 +9,6 @@ to recover the growth shape.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Generic, Optional, Sequence, TypeVar
 
@@ -30,11 +29,6 @@ class SweepPoint(Generic[P]):
 
     parameter: P
     stats: TrialStats
-    #: Wall-clock seconds this point's trials took. Deliberately
-    #: excluded from :meth:`SweepResult.to_dict` and from comparisons —
-    #: serialized sweeps stay a pure function of their seeds; benches
-    #: read this to attribute cost per cell (see ``benchmarks/``).
-    seconds: Optional[float] = field(default=None, compare=False)
 
     @property
     def median_rounds(self) -> float:
@@ -121,7 +115,6 @@ def run_sweep(
     """
     result: SweepResult[P] = SweepResult(name=name)
     for parameter in parameters:
-        started = time.perf_counter()
         stats = run_broadcast_trials(
             scenario_for(parameter),
             trials=trials,
@@ -129,13 +122,7 @@ def run_sweep(
             label=(name, repr(parameter)),
             executor=executor,
         )
-        result.points.append(
-            SweepPoint(
-                parameter=parameter,
-                stats=stats,
-                seconds=time.perf_counter() - started,
-            )
-        )
+        result.points.append(SweepPoint(parameter=parameter, stats=stats))
         if progress is not None:
             progress(parameter, stats)
     return result

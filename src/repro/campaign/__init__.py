@@ -9,9 +9,7 @@ PR plugs into:
   :class:`~repro.api.executor.TrialExecutor` machinery, checkpointing
   each completed shard so a killed campaign resumes exactly where it
   stopped (seed-for-seed identical aggregates);
-* :class:`ResultStore` — the persistent JSONL store of shard records,
-  merged with the committed ``BENCH_*.json`` benchmark artifacts into
-  one queryable history;
+* :class:`ResultStore` — the persistent JSONL store of shard records;
 * :func:`render_results_markdown` — the generator behind
   ``docs/results.md`` and the CI staleness check.
 

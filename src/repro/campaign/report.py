@@ -5,7 +5,7 @@
 ``docs/results.md``: one row per measured Figure-1 cell (experiment ×
 scale × engine × seed) with its measured growth classes, contrast-claim
 verdicts, and engine/runtime, followed by the not-yet-measured
-experiments and the benchmark timing history.
+experiments.
 
 The document is *reproducible*: every value except wall-clock runtimes
 is a pure function of the store's seed-determined aggregates, and
@@ -113,7 +113,6 @@ def render_results_markdown(store, *, registry: Optional[Mapping] = None) -> str
         registry = ALL_EXPERIMENTS
 
     records = sorted(store.shard_records(), key=_cell_sort_key)
-    benches = store.bench_records()
 
     lines = [
         "# Results",
@@ -230,38 +229,6 @@ def render_results_markdown(store, *, registry: Optional[Mapping] = None) -> str
         ]
     else:
         lines += ["Every registered experiment has at least one measured cell.", ""]
-
-    # ------------------------------------------------------------------
-    # Bench history
-    # ------------------------------------------------------------------
-    lines += ["## Benchmark history", ""]
-    if benches:
-        bench_rows = []
-        for payload in sorted(benches, key=lambda p: str(p.get("artifact"))):
-            seconds = payload.get("seconds", {})
-            bench_rows.append(
-                [
-                    payload.get("experiment", "?"),
-                    payload.get("scale", "?"),
-                    payload.get("engine", "?"),
-                    payload.get("repeats", "?"),
-                    _fmt_seconds(seconds.get("median")),
-                    f"`{payload.get('artifact')}`",
-                ]
-            )
-        lines += [
-            "Wall-clock medians from the committed `benchmarks/results/`",
-            "artifacts, merged into the same store",
-            "(see [architecture.md](architecture.md#benchmarks-and-the-perf-trajectory)):",
-            "",
-            render_markdown_table(
-                ["experiment", "scale", "engine", "repeats", "median", "artifact"],
-                bench_rows,
-            ),
-            "",
-        ]
-    else:
-        lines += ["*No benchmark artifacts found.*", ""]
 
     return "\n".join(lines).rstrip() + "\n"
 

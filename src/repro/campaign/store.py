@@ -1,16 +1,11 @@
-"""The persistent result store: shard checkpoints + bench history.
+"""The persistent result store: shard checkpoints.
 
 One directory holds everything a campaign ever measured:
-
-* ``<name>.jsonl`` — one file per campaign, one JSON record per
-  *completed* shard. This is the checkpoint: records are appended
-  (write + flush + fsync) only after a shard finishes, so a campaign
-  killed mid-shard simply lacks that shard's line and re-runs it on
-  resume. A line truncated by a hard kill is skipped on read.
-* the benchmark artifacts (``BENCH_<exp>_<scale>_<engine>.json``,
-  written by ``benchmarks/_common.py``) are merged in read-only as
-  ``kind: "bench"`` records, so one store answers both "what did we
-  measure?" and "how fast was it?".
+``<name>.jsonl``, one file per campaign, one JSON record per
+*completed* shard. This is the checkpoint: records are appended
+(write + flush + fsync) only after a shard finishes, so a campaign
+killed mid-shard simply lacks that shard's line and re-runs it on
+resume. A line truncated by a hard kill is skipped on read.
 
 Shard records split into a seed-determined ``aggregate`` (the
 :meth:`~repro.experiments.registry.ExperimentResult.to_record` payload)
@@ -67,7 +62,7 @@ class StoreCompatWarning(RuntimeWarning):
 
 
 class ResultStore:
-    """Append-only store of campaign shard records, merged with benches.
+    """Append-only store of campaign shard records.
 
     Parameters
     ----------
@@ -75,29 +70,20 @@ class ResultStore:
         Directory for the per-campaign ``*.jsonl`` checkpoint files
         (created on first write).
     bench_dir:
-        Directory of ``BENCH_*.json`` artifacts to merge into the
-        history; defaults to the repository's ``benchmarks/results``
-        when that exists relative to the current working directory.
-        Pass ``None`` explicitly via ``bench_dir=""`` to disable.
+        Accepted and ignored: the benchmark harness
+        (``perfbench/workloads.py``) still passes ``bench_dir=""``.
     """
 
     def __init__(
         self,
         root: Union[str, os.PathLike],
-        bench_dir: Optional[Union[str, os.PathLike]] = None,
+        bench_dir: object = None,
     ) -> None:
         self.root = Path(root)
         #: Lazy ``spec_hash -> [records]`` index behind :meth:`find`;
         #: built on first lookup, dropped by :meth:`append` (and by
         #: :meth:`~ResultStore.invalidate` for out-of-process writers).
         self._spec_index: Optional[dict[str, list[dict]]] = None
-        if bench_dir is None:
-            default = Path("benchmarks") / "results"
-            self.bench_dir: Optional[Path] = default if default.is_dir() else None
-        elif str(bench_dir) == "":
-            self.bench_dir = None
-        else:
-            self.bench_dir = Path(bench_dir)
 
     # ------------------------------------------------------------------
     # Shard checkpoints
@@ -203,48 +189,8 @@ class ResultStore:
         }
 
     # ------------------------------------------------------------------
-    # Bench artifact merge
-    # ------------------------------------------------------------------
-    def bench_records(self) -> list[dict]:
-        """The ``BENCH_*.json`` artifacts as ``kind: "bench"`` records.
-
-        Artifacts written before the store existed lack the
-        ``schema``/``kind`` envelope; they are upgraded on read.
-        """
-        if self.bench_dir is None or not self.bench_dir.is_dir():
-            return []
-        records = []
-        skipped = 0
-        for path in sorted(self.bench_dir.glob("BENCH_*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            payload.setdefault("schema", SCHEMA_VERSION)
-            payload.setdefault("kind", "bench")
-            if payload["kind"] != "bench" or payload["schema"] != SCHEMA_VERSION:
-                skipped += 1
-                continue
-            payload["artifact"] = path.name
-            records.append(payload)
-        if skipped:
-            warnings.warn(
-                f"bench directory {self.bench_dir} skipped {skipped} artifact(s) "
-                f"with an unknown schema/kind",
-                StoreCompatWarning,
-                stacklevel=2,
-            )
-        return records
-
-    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def history(self) -> list[dict]:
-        """Every record the store knows: shard results then benches."""
-        return self.shard_records() + self.bench_records()
-
     def cells(
         self,
         *,
@@ -357,8 +303,7 @@ class ResultStore:
 
     def describe(self) -> str:
         shard_count = len(self.shard_records())
-        bench_count = len(self.bench_records())
         return (
             f"ResultStore({self.root}): {shard_count} shard records across "
-            f"{len(self.campaigns())} campaigns, {bench_count} bench artifacts"
+            f"{len(self.campaigns())} campaigns"
         )

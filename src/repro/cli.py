@@ -613,7 +613,7 @@ def _campaign_spec_from_args(args: argparse.Namespace):
 def _campaign_store(args: argparse.Namespace):
     from repro.campaign import ResultStore
 
-    return ResultStore(args.store, bench_dir=getattr(args, "bench_dir", None))
+    return ResultStore(args.store)
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -734,7 +734,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.campaign import ResultStore
     from repro.serve import ReproServer
 
-    store = ResultStore(args.store, bench_dir=args.bench_dir)
+    store = ResultStore(args.store)
     server = ReproServer(
         store,
         host=args.host,
@@ -1025,11 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=_DEFAULT_STORE,
             help=f"result store directory (default: {_DEFAULT_STORE})",
         )
-        p.add_argument(
-            "--bench-dir",
-            default=None,
-            help="BENCH_*.json directory to merge (default: benchmarks/results)",
-        )
 
     campaign_run = campaign_sub.add_parser(
         "run", help="run pending shards, checkpointing each one"
@@ -1069,11 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"result store directory (default: {_DEFAULT_STORE})",
     )
     campaign_report.add_argument(
-        "--bench-dir",
-        default=None,
-        help="BENCH_*.json directory to merge (default: benchmarks/results)",
-    )
-    campaign_report.add_argument(
         "--out", default=None, help="write to this file instead of stdout"
     )
     campaign_report.add_argument(
@@ -1098,11 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=_DEFAULT_STORE,
         help=f"result store directory (default: {_DEFAULT_STORE})",
-    )
-    serve.add_argument(
-        "--bench-dir",
-        default=None,
-        help="BENCH_*.json directory to merge (default: benchmarks/results)",
     )
     serve.add_argument("--verbose", action="store_true", help="log requests")
     serve.set_defaults(func=_cmd_serve)

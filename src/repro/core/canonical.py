@@ -1,7 +1,7 @@
 """Canonical JSON and stable content hashing.
 
 The cache keys of the serve layer (and the ``spec_hash`` stamped into
-result-store records and bench artifacts) must be *stable*: the same
+result-store records) must be *stable*: the same
 logical spec must hash to the same digest regardless of dict insertion
 order, whitespace, which Python version serialized it, or which
 process computed the hash. :func:`canonical_json` pins every degree of

@@ -1,11 +1,9 @@
-"""One cProfile helper for benches and ``repro trace --profile``.
+"""One cProfile helper for ``repro trace --profile``.
 
-Before the obs layer, ``benchmarks/_common.py`` carried its own ad-hoc
-``REPRO_BENCH_PROFILE=1`` dump (build a profiler, run, sort by
-cumulative, print 20 rows). The same sequence is needed by ``repro
-trace --profile`` and by anyone chasing a hotspot interactively, so it
-lives here once: :func:`profiled` is the context manager, and
-:func:`profile_text` the formatter both consumers share.
+Build a profiler, run, sort by cumulative time, print 20 rows: the
+sequence ``repro trace --profile`` needs, and anyone chasing a hotspot
+interactively. :func:`profiled` is the context manager and
+:func:`profile_text` the formatter.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Iterator
 
 __all__ = ["profiled", "profile_text"]
 
-#: Rows of the cumulative-time table (the historical bench dump size).
+#: Rows of the cumulative-time table.
 DEFAULT_LIMIT = 20
 
 

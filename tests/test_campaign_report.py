@@ -24,10 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 def smoke_store(tmp_path_factory):
     """The committed smoke campaign, run fresh into a temp store."""
     spec = load_campaign(REPO_ROOT / "campaigns" / "smoke.json")
-    store = ResultStore(
-        tmp_path_factory.mktemp("smoke"),
-        bench_dir=REPO_ROOT / "benchmarks" / "results",
-    )
+    store = ResultStore(tmp_path_factory.mktemp("smoke"))
     CampaignRunner(spec, store).run()
     return store
 
@@ -35,23 +32,38 @@ def smoke_store(tmp_path_factory):
 def test_report_renders_one_row_per_cell(smoke_store):
     text = render_results_markdown(smoke_store)
     assert text.splitlines()[2] == GENERATED_MARKER
-    # 3 experiments × 2 engines = 6 cells (the bench-history table has
-    # its own E1b rows, so count cell rows by their tiny-scale columns).
+    # 3 experiments × 2 engines = 6 cells.
     assert text.count("| tiny | reference |") + text.count("| tiny | bitset |") == 6
-    for token in ("reference", "bitset", "## Verdicts by cell",
-                  "## Not yet measured", "## Benchmark history"):
+    for token in ("reference", "bitset", "## Verdicts by cell", "## Not yet measured"):
         assert token in text
     # Unmeasured registered experiments are named.
     assert "`E8`" in text and "`A2`" in text
-    # Bench artifacts merged from benchmarks/results/.
-    assert "`BENCH_E1a_small_reference.json`" in text
+
+
+def test_report_does_not_depend_on_the_working_directory(
+    smoke_store, tmp_path, monkeypatch
+):
+    """A stray timing artifact in the cwd cannot leak into the report."""
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    checkout = tmp_path / "checkout"
+    (checkout / "benchmarks" / "results").mkdir(parents=True)
+    (checkout / "benchmarks" / "results" / "BENCH_x.json").write_text(
+        '{"experiment": "E1a", "scale": "small", "engine": "bank", '
+        '"seconds": {"median": 1.0}}',
+        encoding="utf-8",
+    )
+    rendered = []
+    for cwd in (plain, checkout):
+        monkeypatch.chdir(cwd)
+        rendered.append(render_results_markdown(ResultStore(smoke_store.root)))
+    assert rendered[0] == rendered[1]
 
 
 def test_empty_store_still_renders(tmp_path):
-    store = ResultStore(tmp_path, bench_dir="")
+    store = ResultStore(tmp_path)
     text = render_results_markdown(store)
     assert "*No campaign shards recorded yet.*" in text
-    assert "*No benchmark artifacts found.*" in text
 
 
 def test_normalize_masks_only_runtime_tokens():

@@ -41,14 +41,14 @@ class InterruptingExecutor(SerialExecutor):
 
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory):
-    store = ResultStore(tmp_path_factory.mktemp("baseline"), bench_dir="")
+    store = ResultStore(tmp_path_factory.mktemp("baseline"))
     outcomes = CampaignRunner(SPEC, store).run()
     assert [o.status for o in outcomes] == ["done", "done"]
     return store
 
 
 def test_kill_mid_shard_then_resume_is_byte_identical(tmp_path, uninterrupted):
-    store = ResultStore(tmp_path / "store", bench_dir="")
+    store = ResultStore(tmp_path / "store")
     # First invocation: dies inside the second shard (batch 6 of 10).
     runner = CampaignRunner(SPEC, store, executor=InterruptingExecutor(explode_at=6))
     with pytest.raises(KilledMidShard):
@@ -66,7 +66,7 @@ def test_kill_mid_shard_then_resume_is_byte_identical(tmp_path, uninterrupted):
 
 def test_hard_kill_during_checkpoint_write_then_resume(tmp_path, uninterrupted):
     """A checkpoint line truncated mid-write re-runs just that shard."""
-    store = ResultStore(tmp_path / "store", bench_dir="")
+    store = ResultStore(tmp_path / "store")
     CampaignRunner(SPEC, store).run()
     path = store.shard_path("resume")
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -80,7 +80,7 @@ def test_hard_kill_during_checkpoint_write_then_resume(tmp_path, uninterrupted):
 
 def test_resumed_records_match_uninterrupted_except_meta(tmp_path, uninterrupted):
     """Stronger than the aggregate surface: whole records agree."""
-    store = ResultStore(tmp_path / "store", bench_dir="")
+    store = ResultStore(tmp_path / "store")
     runner = CampaignRunner(SPEC, store, executor=InterruptingExecutor(explode_at=2))
     with pytest.raises(KilledMidShard):
         runner.run()
@@ -99,7 +99,7 @@ def test_resumed_records_match_uninterrupted_except_meta(tmp_path, uninterrupted
 
 
 def test_fresh_discards_checkpoints_and_rebuilds_identically(tmp_path, uninterrupted):
-    store = ResultStore(tmp_path / "store", bench_dir="")
+    store = ResultStore(tmp_path / "store")
     runner = CampaignRunner(SPEC, store)
     runner.run()
     first = store.aggregates_json()
@@ -112,7 +112,7 @@ def test_parallel_executor_shard_matches_serial(tmp_path, uninterrupted):
     """Fanning a shard's trials across processes changes nothing."""
     from repro.api import ParallelExecutor
 
-    store = ResultStore(tmp_path / "store", bench_dir="")
+    store = ResultStore(tmp_path / "store")
     with ParallelExecutor(max_workers=2) as executor:
         CampaignRunner(SPEC, store, executor=executor).run()
     assert store.aggregates_json() == uninterrupted.aggregates_json()

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.campaign import SCHEMA_VERSION, ResultStore, Shard, StoreError, shard_record
+from repro.campaign import ResultStore, Shard, StoreError, shard_record
 
 
 def _record(campaign="c", experiment="E1b", scale="tiny", engine="reference", seed=1,
@@ -19,7 +17,7 @@ def _record(campaign="c", experiment="E1b", scale="tiny", engine="reference", se
 
 
 def test_append_then_read_back(tmp_path):
-    store = ResultStore(tmp_path / "store", bench_dir="")
+    store = ResultStore(tmp_path / "store")
     record = _record()
     store.append(record)
     (read,) = store.shard_records()
@@ -30,7 +28,7 @@ def test_append_then_read_back(tmp_path):
 
 
 def test_append_rejects_malformed_records(tmp_path):
-    store = ResultStore(tmp_path, bench_dir="")
+    store = ResultStore(tmp_path)
     with pytest.raises(StoreError, match="missing keys"):
         store.append({"kind": "shard"})
     bad = _record()
@@ -41,7 +39,7 @@ def test_append_rejects_malformed_records(tmp_path):
 
 def test_truncated_final_line_is_skipped(tmp_path):
     """A hard kill mid-write leaves a partial line; reads must survive it."""
-    store = ResultStore(tmp_path, bench_dir="")
+    store = ResultStore(tmp_path)
     store.append(_record(seed=1))
     store.append(_record(seed=2))
     path = store.shard_path("c")
@@ -54,7 +52,7 @@ def test_truncated_final_line_is_skipped(tmp_path):
 
 
 def test_duplicate_shard_ids_last_record_wins(tmp_path):
-    store = ResultStore(tmp_path, bench_dir="")
+    store = ResultStore(tmp_path)
     store.append(_record(aggregate={"v": 1}))
     store.append(_record(aggregate={"v": 2}))
     (read,) = store.shard_records("c")
@@ -62,7 +60,7 @@ def test_duplicate_shard_ids_last_record_wins(tmp_path):
 
 
 def test_cells_filter_by_grid_axes(tmp_path):
-    store = ResultStore(tmp_path, bench_dir="")
+    store = ResultStore(tmp_path)
     store.append(_record(experiment="E1b", engine="reference"))
     store.append(_record(experiment="E1b", engine="bitset"))
     store.append(_record(experiment="E2a", scale="tiny"))
@@ -72,46 +70,9 @@ def test_cells_filter_by_grid_axes(tmp_path):
     assert store.measured_experiments() == {"E1b", "E2a"}
 
 
-def test_bench_artifacts_merge_with_envelope_upgrade(tmp_path):
-    bench_dir = tmp_path / "bench"
-    bench_dir.mkdir()
-    # A pre-campaign artifact (no schema/kind) and a current one.
-    (bench_dir / "BENCH_E1a_small_reference.json").write_text(
-        json.dumps({"experiment": "E1a", "scale": "small", "engine": "reference",
-                    "seconds": {"median": 7.65}})
-    )
-    (bench_dir / "BENCH_E1b_small_bitset.json").write_text(
-        json.dumps({"schema": SCHEMA_VERSION, "kind": "bench", "experiment": "E1b",
-                    "scale": "small", "engine": "bitset", "seconds": {"median": 0.08}})
-    )
-    (bench_dir / "BENCH_broken.json").write_text("{not json")
-    store = ResultStore(tmp_path / "store", bench_dir=bench_dir)
-    benches = store.bench_records()
-    assert [b["experiment"] for b in benches] == ["E1a", "E1b"]
-    assert all(b["kind"] == "bench" for b in benches)
-    assert all(b["schema"] == SCHEMA_VERSION for b in benches)
-    assert benches[0]["artifact"] == "BENCH_E1a_small_reference.json"
-    # history() = shards then benches.
-    store.append(_record())
-    kinds = [r["kind"] for r in store.history()]
-    assert kinds == ["shard", "bench", "bench"]
-
-
-def test_committed_bench_artifacts_are_store_readable():
-    from pathlib import Path
-
-    bench_dir = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-    store = ResultStore(bench_dir / "unused-store", bench_dir=bench_dir)
-    benches = store.bench_records()
-    assert len(benches) >= 4
-    for payload in benches:
-        assert payload["kind"] == "bench"
-        assert "seconds" in payload and "median" in payload["seconds"]
-
-
 def test_aggregates_json_is_sorted_and_meta_free(tmp_path):
-    store_a = ResultStore(tmp_path / "a", bench_dir="")
-    store_b = ResultStore(tmp_path / "b", bench_dir="")
+    store_a = ResultStore(tmp_path / "a")
+    store_b = ResultStore(tmp_path / "b")
     one = _record(seed=1, aggregate={"medians": [3.0, 5.0]}, seconds=0.1)
     two = _record(seed=2, aggregate={"medians": [4.0, 8.0]}, seconds=0.2)
     store_a.append(one)
@@ -125,16 +86,6 @@ def test_aggregates_json_is_sorted_and_meta_free(tmp_path):
 
 
 def test_shard_for_rebuilds_the_key(tmp_path):
-    store = ResultStore(tmp_path, bench_dir="")
+    store = ResultStore(tmp_path)
     record = _record(experiment="E2a", engine="bitset", seed=9)
     assert store.shard_for(record) == Shard("c", "E2a", "tiny", "bitset", 9)
-
-
-def test_default_bench_dir_resolution(tmp_path, monkeypatch):
-    # Outside a repo checkout there is no benchmarks/results: no merge.
-    monkeypatch.chdir(tmp_path)
-    assert ResultStore(tmp_path / "s").bench_dir is None
-    assert ResultStore(tmp_path / "s").bench_records() == []
-    # In a checkout the committed artifacts are found.
-    (tmp_path / "benchmarks" / "results").mkdir(parents=True)
-    assert ResultStore(tmp_path / "s").bench_dir is not None

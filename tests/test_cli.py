@@ -181,20 +181,19 @@ class TestCampaignCommands:
         capsys.readouterr()
 
         # stdout rendering
-        assert main(["campaign", "report", "--store", store,
-                     "--bench-dir", ""]) == 0
+        assert main(["campaign", "report", "--store", store]) == 0
         assert "## Verdicts by cell" in capsys.readouterr().out
 
         # --check before the file exists: stale
-        assert main(["campaign", "report", "--store", store, "--bench-dir", "",
+        assert main(["campaign", "report", "--store", store,
                      "--out", str(out_path), "--check"]) == 1
         assert "stale" in capsys.readouterr().err
 
         # write, then check: fresh
-        assert main(["campaign", "report", "--store", store, "--bench-dir", "",
+        assert main(["campaign", "report", "--store", store,
                      "--out", str(out_path)]) == 0
         capsys.readouterr()
-        assert main(["campaign", "report", "--store", store, "--bench-dir", "",
+        assert main(["campaign", "report", "--store", store,
                      "--out", str(out_path), "--check"]) == 0
         assert "up to date" in capsys.readouterr().out
 
@@ -203,5 +202,5 @@ class TestCampaignCommands:
             out_path.read_text(encoding="utf-8").replace("100%", "37%"),
             encoding="utf-8",
         )
-        assert main(["campaign", "report", "--store", store, "--bench-dir", "",
+        assert main(["campaign", "report", "--store", store,
                      "--out", str(out_path), "--check"]) == 1

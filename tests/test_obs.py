@@ -289,9 +289,9 @@ class TestTracingDeterminism:
             engines=("bitset",),
             seeds=(2013,),
         )
-        plain_store = ResultStore(tmp_path / "plain", bench_dir="")
+        plain_store = ResultStore(tmp_path / "plain")
         CampaignRunner(spec, plain_store).run()
-        traced_store = ResultStore(tmp_path / "traced", bench_dir="")
+        traced_store = ResultStore(tmp_path / "traced")
         enable(str(tmp_path / "campaign.jsonl"))
         try:
             CampaignRunner(spec, traced_store).run()

@@ -42,7 +42,7 @@ CELL_DOC = {"experiment": "E1b", "scale": "tiny", "engine": "reference",
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    store = ResultStore(tmp_path_factory.mktemp("serve") / "store", bench_dir="")
+    store = ResultStore(tmp_path_factory.mktemp("serve") / "store")
     with ReproServer(store, port=0, workers=2) as server:
         yield server
 
@@ -80,7 +80,7 @@ class TestCampaignSubmission:
 
     def test_service_matches_campaign_runner_byte_for_byte(self, server, client, tmp_path):
         client.run(CELL_DOC)  # cached from the previous test or runs now
-        direct_store = ResultStore(tmp_path / "direct", bench_dir="")
+        direct_store = ResultStore(tmp_path / "direct")
         CampaignRunner(
             CampaignSpec(
                 name=f"api-{CELL_DOC['experiment']}",
@@ -257,7 +257,6 @@ class TestCliVerbs:
         status = main([
             "campaign", "status", "--json", "E1b",
             "--scale", "tiny", "--store", str(tmp_path / "store"),
-            "--bench-dir", "",
         ])
         assert status == 1  # nothing measured yet → pending
         payload = json.loads(capsys.readouterr().out)

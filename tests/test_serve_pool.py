@@ -171,7 +171,7 @@ class TestJobLevelKill:
         to a store fed by an uninterrupted direct run."""
         from repro.serve.jobs import scenario_record
 
-        served = ResultStore(tmp_path / "served", bench_dir="")
+        served = ResultStore(tmp_path / "served")
         with WorkerPool(workers=2) as pool:
             manager = JobManager(served, pool)
             job = manager.submit(
@@ -193,7 +193,7 @@ class TestJobLevelKill:
             assert "requeued" in statuses
 
         # An uninterrupted run, checkpointed the same way, byte-matches.
-        direct = ResultStore(tmp_path / "direct", bench_dir="")
+        direct = ResultStore(tmp_path / "direct")
         direct.append(
             scenario_record(
                 slow_spec(), SLOW_SEED, SLOW_TRIALS, slow_direct_record(),

@@ -41,11 +41,13 @@ import pytest
 from repro.adversaries.static import NoFlakyLinks
 from repro.algorithms.base import make_spec
 from repro.analysis.runner import PreparedTrial, run_bank_trials, run_prepared_trial
+from repro.analysis.sweep import run_sweep
 from repro.api.executor import ParallelExecutor, SerialExecutor
 from repro.api.spec import ScenarioSpec
 from repro.core.engine import ENGINE_NAMES, create_engine
 from repro.core.errors import EngineFallbackWarning
 from repro.core.trace import TraceCollector
+from repro.experiments.engine_bench import E1B_LARGE_STATIC_SCALE
 from repro.graphs.builders import line_dual
 from repro.obs.recorder import disable, enable
 from repro.problems.global_broadcast import GlobalBroadcastProblem
@@ -393,6 +395,62 @@ class TestBankHeterogeneousRounds:
         seeds = sorted(self.CAPS)
         run_bank_trials(scenario, seeds)
         assert calls == [(len(seeds), max(self.CAPS.values()))]
+
+
+class TestE1bLargeSkipCount:
+    """E1b_large's skip win, pinned as a count of rounds, not a timing.
+
+    The round-robin series (1/64 broadcasters) is ~63/64 provably silent
+    rounds, so bank with skip on must skip at least 90% of them. The
+    static-local-decay series has no silent span and skips none. With
+    skip off nothing is skipped and the stats are identical.
+    """
+
+    SERIES = {series.label: series for series in E1B_LARGE_STATIC_SCALE.series}
+    ROUND_ROBIN = "round-robin (1/64 broadcasters)"
+    STATIC_DECAY = "static-local-decay [8]"
+
+    def _run(self, label, n, skip):
+        """``(stats record, rounds executed, rounds skipped)`` on bank.
+
+        Seeds are derived exactly as ``E1b_large`` at ``tiny`` scale
+        derives them, so this is the experiment's own cell.
+        """
+        scenario_for = self.SERIES[label].scenario_for
+
+        def bank_spec(size):
+            return scenario_for(size).with_param("engine", "bank").with_param("skip", skip)
+
+        rec = enable()
+        try:
+            sweep = run_sweep(
+                f"E1b_large:{label}", [n], bank_spec, trials=2, master_seed=2013
+            )
+        finally:
+            disable()
+        return (
+            sweep.points[0].stats.to_record(),
+            rec.counters.get("rounds.executed", 0),
+            rec.counters.get("rounds.skipped", 0),
+        )
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_round_robin_skips_nine_tenths_of_its_rounds(self, n):
+        _, executed, skipped = self._run(self.ROUND_ROBIN, n, True)
+        assert skipped >= 0.9 * (executed + skipped), (executed, skipped)
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_static_decay_has_no_silent_span(self, n):
+        _, executed, skipped = self._run(self.STATIC_DECAY, n, True)
+        assert executed > 0 and skipped == 0
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("label", [ROUND_ROBIN, STATIC_DECAY])
+    def test_skip_off_skips_nothing_and_matches(self, label, n):
+        record_on, _, _ = self._run(label, n, True)
+        record_off, executed, skipped = self._run(label, n, False)
+        assert executed > 0 and skipped == 0
+        assert record_off == record_on
 
 
 class TestFallbackWarningDedup:

@@ -3,11 +3,9 @@
 Covers the dedup queries the serve layer depends on — stamped records,
 pre-stamp history (hash derived on read), seed filtering, index
 invalidation after appends — plus concurrent appends from two real
-processes (the store's line-atomicity claim under actual parallelism)
-and the spec_hash stamp in bench artifacts.
+processes (the store's line-atomicity claim under actual parallelism).
 """
 
-import json
 import multiprocessing
 
 from repro.campaign.runner import shard_record
@@ -26,7 +24,7 @@ def _record(shard, payload=None):
 
 class TestFind:
     def test_finds_stamped_record(self, tmp_path):
-        store = ResultStore(tmp_path, bench_dir="")
+        store = ResultStore(tmp_path)
         shard = _shard()
         store.append(_record(shard))
         matches = store.find(shard.spec_hash(), 2013)
@@ -34,7 +32,7 @@ class TestFind:
         assert matches[0]["shard_id"] == shard.shard_id
 
     def test_seed_filter(self, tmp_path):
-        store = ResultStore(tmp_path, bench_dir="")
+        store = ResultStore(tmp_path)
         store.append(_record(_shard(seed=1)))
         store.append(_record(_shard(seed=2)))
         spec_hash = _shard(seed=1).spec_hash()
@@ -43,13 +41,13 @@ class TestFind:
         assert store.find(spec_hash, 3) == []
 
     def test_miss_returns_empty(self, tmp_path):
-        store = ResultStore(tmp_path, bench_dir="")
+        store = ResultStore(tmp_path)
         assert store.find("0" * 64) == []
 
     def test_pre_stamp_history_is_derivable(self, tmp_path):
         # Records written before the spec_hash stamp existed must still
         # be findable: the index derives the hash from the cell axes.
-        store = ResultStore(tmp_path, bench_dir="")
+        store = ResultStore(tmp_path)
         shard = _shard()
         record = _record(shard)
         del record["spec_hash"]
@@ -59,21 +57,21 @@ class TestFind:
     def test_cross_campaign_hits(self, tmp_path):
         # The cache key deliberately ignores the campaign name: the
         # same cell measured under two campaigns is one cache entry.
-        store = ResultStore(tmp_path, bench_dir="")
+        store = ResultStore(tmp_path)
         store.append(_record(_shard(campaign="a")))
         store.append(_record(_shard(campaign="b")))
         assert len(store.find(_shard().spec_hash(), 2013)) == 2
 
     def test_index_invalidated_by_append(self, tmp_path):
-        store = ResultStore(tmp_path, bench_dir="")
+        store = ResultStore(tmp_path)
         shard = _shard()
         assert store.find(shard.spec_hash(), 2013) == []  # builds index
         store.append(_record(shard))  # must drop it
         assert len(store.find(shard.spec_hash(), 2013)) == 1
 
     def test_invalidate_sees_out_of_process_writes(self, tmp_path):
-        writer = ResultStore(tmp_path, bench_dir="")
-        reader = ResultStore(tmp_path, bench_dir="")
+        writer = ResultStore(tmp_path)
+        reader = ResultStore(tmp_path)
         shard = _shard()
         assert reader.find(shard.spec_hash(), 2013) == []
         writer.append(_record(shard))
@@ -83,7 +81,7 @@ class TestFind:
 
 def _append_batch(root, campaign, start, count):
     """Child-process body for the concurrency test (spawn-picklable)."""
-    store = ResultStore(root, bench_dir="")
+    store = ResultStore(root)
     for index in range(start, start + count):
         store.append(_record(_shard(seed=index, campaign=campaign)))
 
@@ -102,7 +100,7 @@ class TestConcurrentAppend:
         for p in procs:
             p.join(timeout=60)
             assert p.exitcode == 0
-        store = ResultStore(tmp_path, bench_dir="")
+        store = ResultStore(tmp_path)
         records = store.shard_records("shared")
         assert len(records) == 40
         seeds = {r["master_seed"] for r in records}
@@ -110,44 +108,3 @@ class TestConcurrentAppend:
         # And the find index sees all of them.
         spec_hash = _shard().spec_hash()
         assert len(store.find(spec_hash)) == 40
-
-
-class TestBenchStamp:
-    def test_bench_artifact_carries_shard_hash(self, tmp_path, monkeypatch):
-        import importlib.util
-        from pathlib import Path
-
-        common_path = (
-            Path(__file__).resolve().parents[1] / "benchmarks" / "_common.py"
-        )
-        loader = importlib.util.spec_from_file_location("_bench_common", common_path)
-        common = importlib.util.module_from_spec(loader)
-        loader.loader.exec_module(common)
-        monkeypatch.setattr(common, "_results_dir", lambda: tmp_path)
-        path = common.write_bench_artifact("E1b", [0.25])
-        payload = json.loads(path.read_text())
-        expected = Shard(
-            campaign="bench",
-            experiment="E1b",
-            scale=common.BENCH_SCALE,
-            engine=common.BENCH_ENGINE,
-            master_seed=common.MASTER_SEED,
-        ).spec_hash()
-        assert payload["spec_hash"] == expected
-
-    def test_committed_artifacts_are_stamped(self):
-        from pathlib import Path
-
-        results = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
-        artifacts = sorted(results.glob("BENCH_*.json"))
-        assert artifacts, "committed bench artifacts should exist"
-        for artifact in artifacts:
-            payload = json.loads(artifact.read_text())
-            shard = Shard(
-                campaign="bench",
-                experiment=payload["experiment"],
-                scale=payload["scale"],
-                engine=payload["engine"],
-                master_seed=payload["master_seed"],
-            )
-            assert payload["spec_hash"] == shard.spec_hash(), artifact.name

@@ -152,7 +152,7 @@ def regenerate_sample() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         enable(str(SAMPLE))
         try:
-            CampaignRunner(spec, ResultStore(scratch, bench_dir="")).run()
+            CampaignRunner(spec, ResultStore(scratch)).run()
         finally:
             disable()
     print(f"regenerated {SAMPLE.relative_to(REPO_ROOT)}")
