@@ -37,7 +37,7 @@ sizes are capped by ``Δ`` — which is what makes the total
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import AbstractSet, Optional
 
 from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_broadcasters
@@ -71,6 +71,12 @@ class GeoLocalBroadcastParams:
     schedule: PermutedDecaySchedule
     seed_iteration_bits: int  # bits one iteration consumes from a seed
     seed_total_bits: int      # full seed length
+    #: ``(round_index, locate(round_index))`` of the last call: every
+    #: node asks for the same round's position twice (plan and
+    #: feedback), so one computation per round serves them all.
+    _last_located: tuple = field(
+        default=(-1, None), init=False, repr=False, compare=False
+    )
 
     @classmethod
     def resolve(
@@ -148,12 +154,18 @@ class GeoLocalBroadcastParams:
         stage cycles modulo its iteration budget so executions longer
         than one pass keep a consistent bit layout.
         """
+        last_round, located = self._last_located
+        if last_round == round_index:
+            return located
         if round_index < self.init_stage_rounds:
             phase, offset = divmod(round_index, self.phase_rounds)
-            return ("init", phase, offset)
-        rounds_in = (round_index - self.init_stage_rounds) % self.broadcast_stage_rounds
-        iteration, offset = divmod(rounds_in, self.schedule.rounds_per_call)
-        return ("broadcast", iteration, offset)
+            located = ("init", phase, offset)
+        else:
+            rounds_in = (round_index - self.init_stage_rounds) % self.broadcast_stage_rounds
+            iteration, offset = divmod(rounds_in, self.schedule.rounds_per_call)
+            located = ("broadcast", iteration, offset)
+        object.__setattr__(self, "_last_located", (round_index, located))
+        return located
 
 
 class GeoLocalBroadcastProcess(Process):

@@ -7,8 +7,17 @@ every round's communication topology, while ``G' \\ G`` holds the
 may add round by round. The model requires ``E ⊆ E'``; with ``G = G'``
 it degenerates to the classic static protocol model.
 
-:class:`DualGraph` is immutable and validated on construction. For the
-engine's hot path it precomputes, per node ``u``:
+:class:`DualGraph` is immutable and built sparse-first. Its primary
+form is CSR adjacency — ``int32`` ``indptr``/``indices`` arrays for
+``G`` and for ``G'``, each row sorted — reached through
+:meth:`DualGraph.csr`. :meth:`DualGraph.from_edges` sorts the edge
+list straight into CSR. The graph queries (BFS, connectivity,
+eccentricity, ``Δ``), local broadcast's receiver set and the
+structural validation of caller-supplied masks run on it, in
+``O(n + E)`` work and memory.
+
+For the engines' hot path every node ``u`` also carries three
+bitmasks, derived from the CSR rows on construction:
 
 * ``g_masks[u]`` — bitmask of ``u``'s neighbors in ``G``;
 * ``gp_masks[u]`` — bitmask of ``u``'s neighbors in ``G'``;
@@ -16,12 +25,17 @@ engine's hot path it precomputes, per node ``u``:
   per-node room to maneuver.
 
 Bitmasks make per-round reception resolution an ``O(n)`` loop of
-word-parallel intersections, which is what lets pure-Python simulations
-reach the network sizes the lower-bound sweeps need.
+word-parallel intersections. A sparse graph's masks are set bit by bit
+from their rows (shift-or); only a dense graph (``16·nnz ≥ n²``, whose
+masks are themselves ``Θ(n²)`` bits) sets them through a packed byte
+matrix. When ``E' = E`` there is one set of masks and one CSR:
+``gp_masks`` is the same tuple object as ``g_masks`` and every
+per-graph cache holds a single entry.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -31,6 +45,7 @@ from repro.core.errors import GraphValidationError
 from repro.core.trace import iter_bits, popcount
 
 __all__ = [
+    "Csr",
     "DualGraph",
     "Edge",
     "normalize_edge",
@@ -53,11 +68,16 @@ def masks_to_neighbor_matrix(masks: Sequence[int], n: int) -> np.ndarray:
     little-endian bytes and ``np.unpackbits`` fans them out, so the
     conversion is O(n²/8) byte work rather than n² Python bit tests.
     """
-    packed = _packed_adjacency(masks, n)
+    nbytes = (n + 7) // 8
+    buffer = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    packed = np.frombuffer(buffer, dtype=np.uint8).reshape(len(masks), nbytes)
     bits = np.unpackbits(packed, axis=1, bitorder="little", count=n)
     return bits.astype(np.float64)
 
 Edge = tuple[int, int]
+#: CSR adjacency: ``(indptr, indices)``, both read-only ``int32``; row
+#: ``u`` is ``indices[indptr[u]:indptr[u + 1]]``, sorted ascending.
+Csr = tuple[np.ndarray, np.ndarray]
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -77,84 +97,118 @@ def edges_from_adjacency(masks: Sequence[int]) -> set[Edge]:
     return edges
 
 
-#: Below this edge count the plain Python loop beats numpy's setup cost.
-_VECTORIZE_EDGE_THRESHOLD = 1024
-
-
-def _masks_from_edges(n: int, edges: Iterable[Edge]) -> list[int]:
+def _edge_array(edges: Iterable[Edge]) -> np.ndarray:
+    """Edges as an ``(E, 2)`` int64 array; the first self-loop is an error."""
     edge_list = edges if isinstance(edges, (list, tuple)) else list(edges)
-    if len(edge_list) < _VECTORIZE_EDGE_THRESHOLD:
-        masks = [0] * n
-        for u, v in edge_list:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphValidationError(f"edge ({u}, {v}) outside node range [0, {n})")
-            if u == v:
-                raise GraphValidationError(f"self-loop at node {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
-    # Dense families (cliques, funnels) carry Θ(n²) edges; set the bits
-    # through packed byte rows at C speed instead of 2|E| big-int ops.
-    flat = np.fromiter(
-        (coord for edge in edge_list for coord in edge),
-        dtype=np.int64,
-        count=2 * len(edge_list),
-    )
-    us, vs = flat[0::2], flat[1::2]
-    bad = (us < 0) | (us >= n) | (vs < 0) | (vs >= n)
-    if bad.any():
-        i = int(np.nonzero(bad)[0][0])
-        raise GraphValidationError(
-            f"edge ({int(us[i])}, {int(vs[i])}) outside node range [0, {n})"
-        )
-    loops = us == vs
-    if loops.any():
-        i = int(np.nonzero(loops)[0][0])
-        raise GraphValidationError(f"self-loop at node {int(us[i])}")
-    nbytes = (n + 7) // 8
-    packed = np.zeros((n, nbytes), dtype=np.uint8)
-    bit_v = np.left_shift(1, (vs & 7).astype(np.uint8)).astype(np.uint8)
-    bit_u = np.left_shift(1, (us & 7).astype(np.uint8)).astype(np.uint8)
-    np.bitwise_or.at(packed, (us, vs >> 3), bit_v)
-    np.bitwise_or.at(packed, (vs, us >> 3), bit_u)
-    return [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
+    flat = np.fromiter(itertools.chain.from_iterable(edge_list), dtype=np.int64)
+    if flat.size != 2 * len(edge_list):
+        raise GraphValidationError("edges must be (u, v) pairs")
+    pairs = flat.reshape(-1, 2)
+    loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+    if loops.size:
+        raise GraphValidationError(f"self-loop at node {int(pairs[loops[0], 0])}")
+    return pairs
 
 
-def _packed_adjacency(masks: Sequence[int], n: int) -> np.ndarray:
-    """Masks as an ``(n, ⌈n/8⌉)`` little-endian packed byte matrix."""
-    nbytes = (n + 7) // 8
-    buffer = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    return np.frombuffer(buffer, dtype=np.uint8).reshape(len(masks), nbytes)
+def _edge_keys(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Keys ``u·n + v`` (``u < v``) of undirected edges; endpoints must be in range."""
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if bad.size:
+        u, v = (int(x) for x in pairs[bad[0]])
+        raise GraphValidationError(f"edge ({u}, {v}) outside node range [0, {n})")
+    return pairs.min(axis=1) * n + pairs.max(axis=1)
 
 
-def _first_asymmetric_edge(packed: np.ndarray, n: int) -> Optional[tuple[int, int]]:
-    """Lexicographically smallest ``(u, v)`` with ``v ∈ N(u)`` but ``u ∉ N(v)``.
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted, without repeats."""
+    # Stable sort: builders list edges in near-sorted runs, which it
+    # merges in linear time.
+    keys = np.sort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
-    Works on the packed byte matrix without unpacking it: only bytes
-    that actually carry edge bits (≤ 2|E| of them) are expanded, so the
-    symmetry check is O(n²/8) scan plus O(E log E) set membership
-    instead of O(E) big-int shifts.
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _csr_from_counts(counts: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _csr_from_keys(n: int, keys: np.ndarray) -> Csr:
+    """Symmetric CSR of the undirected edges ``keys`` (see :func:`_edge_keys`)."""
+    us, vs = np.divmod(keys, n)
+    rows, cols = np.divmod(np.sort(np.concatenate((keys, vs * n + us)), kind="stable"), n)
+    indptr = _csr_from_counts(np.bincount(rows, minlength=n))
+    return _frozen(indptr), _frozen(cols.astype(np.int32))
+
+
+def _csr_from_masks(masks: Sequence[int], n: int) -> Csr:
+    """CSR rows of adjacency bitmasks, unpacked one mask at a time.
+
+    Each row costs its own mask's bytes, so nothing ``n × n`` is built.
+    The masks must be non-negative and below ``2**n``.
     """
-    rows, cols = np.nonzero(packed)
-    if rows.size == 0:
-        return None
-    vals = packed[rows, cols]
-    parts_u: list[np.ndarray] = []
-    parts_v: list[np.ndarray] = []
-    for bit in range(8):
-        hit = ((vals >> np.uint8(bit)) & np.uint8(1)).astype(bool)
-        if hit.any():
-            parts_u.append(rows[hit])
-            parts_v.append((cols[hit] << 3) + bit)
-    u = np.concatenate(parts_u)
-    v = np.concatenate(parts_v)
-    forward = u * np.int64(n) + v
-    reverse = v * np.int64(n) + u
-    missing = ~np.isin(reverse, forward, assume_unique=True)
-    if not missing.any():
-        return None
-    worst = int(forward[missing].min())
-    return worst // n, worst % n
+    counts = np.fromiter((mask.bit_count() for mask in masks), dtype=np.int64, count=n)
+    indptr = _csr_from_counts(counts)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    for u, mask in enumerate(masks):
+        if mask:
+            row = np.frombuffer(
+                mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8
+            )
+            indices[indptr[u] : indptr[u + 1]] = np.flatnonzero(
+                np.unpackbits(row, bitorder="little")
+            )
+    return _frozen(indptr), _frozen(indices)
+
+
+def _csr_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row (source node) of every CSR entry."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+
+
+def _csr_keys(csr: Csr, n: int) -> np.ndarray:
+    """Directed entry keys ``u·n + v``, ascending (rows and rows' entries are sorted)."""
+    return _csr_rows(csr[0]) * n + csr[1]
+
+
+def _masks_from_csr(csr: Csr, n: int) -> tuple[int, ...]:
+    """Per-node bigint masks of CSR rows.
+
+    A sparse graph sets each row's bits by shift-or, which costs only
+    the masks' own bytes. A dense graph (``16·nnz ≥ n²``) has masks of
+    ``Θ(n²)`` bits anyway; there one packed byte matrix sets them at C
+    speed.
+    """
+    indptr, indices = csr
+    if len(indices) * 16 >= n * n:
+        # One flat little-endian byte matrix, n rows of ⌈n/8⌉ bytes.
+        nbytes = (n + 7) // 8
+        packed = np.zeros(n * nbytes, dtype=np.uint8)
+        np.bitwise_or.at(
+            packed,
+            _csr_rows(indptr) * nbytes + (indices >> 3),
+            np.left_shift(np.uint8(1), (indices & 7).astype(np.uint8)),
+        )
+        flat = memoryview(packed)
+        return tuple(
+            int.from_bytes(flat[u * nbytes : (u + 1) * nbytes], "little") for u in range(n)
+        )
+    ptr = indptr.tolist()
+    adjacency = indices.tolist()
+    masks = []
+    for u in range(n):
+        mask = 0
+        for v in adjacency[ptr[u] : ptr[u + 1]]:
+            mask |= 1 << v
+        masks.append(mask)
+    return tuple(masks)
 
 
 def pack_mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
@@ -181,11 +235,14 @@ def pack_mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualGraph:
-    """An immutable dual graph with precomputed adjacency bitmasks.
+    """An immutable dual graph: CSR adjacency plus per-node bitmasks.
 
     Build instances with :meth:`from_edges` (preferred) or supply masks
-    directly. The constructor validates symmetry implicitly (masks are
-    built from undirected edges) and checks ``E ⊆ E'``.
+    directly; supplied masks are validated (range, self-loops,
+    symmetry, ``E ⊆ E'``) once, on their CSR rows, and a supplied
+    ``gp_masks`` equal to ``g_masks`` is replaced by the ``g_masks``
+    tuple itself. So for graphs built from edges, derived or validated,
+    ``gp_masks is g_masks`` exactly when ``E' = E``.
 
     Attributes
     ----------
@@ -213,6 +270,8 @@ class DualGraph:
     #: Externally supplied masks must keep the default.
     validate: InitVar[bool] = True
     _flaky_masks: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
+    #: CSR adjacency by key ``"g"`` / ``"gp"`` (see :meth:`csr`).
+    _csr: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, validate: bool) -> None:
         if self.n < 1:
@@ -221,88 +280,53 @@ class DualGraph:
             raise GraphValidationError("adjacency mask lists must have length n")
         if validate:
             for u in range(self.n):
-                # Range stays a per-node int check (bit_length is O(1),
+                # Range is a per-node int check (bit_length is O(1),
                 # unlike shifting an n-bit mask): negative or oversized
-                # masks cannot even be packed into n-bit byte rows below.
+                # masks have no CSR row to check.
                 g, gp = self.g_masks[u], self.gp_masks[u]
                 if g < 0 or gp < 0 or g.bit_length() > self.n or gp.bit_length() > self.n:
                     raise GraphValidationError(f"node {u} has neighbors outside [0, n)")
-            # Structural checks: sparse graphs (rings, lines, geometric
-            # families at large n) validate on packed byte rows without
-            # ever unpacking them, dense families (cliques, funnels) on
-            # the full unpacked bit matrix — materializing n × n bits
-            # for a 2-regular ring costs more than the simulation at
-            # n = 10⁴.
-            total_bits = sum(m.bit_count() for m in self.g_masks) + sum(
-                m.bit_count() for m in self.gp_masks
-            )
-            if total_bits * 16 < self.n * self.n:
-                self._validate_sparse()
-            else:
-                self._validate_dense()
+            if self.gp_masks is not self.g_masks and self.gp_masks == self.g_masks:
+                object.__setattr__(self, "gp_masks", self.g_masks)
+            self._validate_structure()
         if self.embedding is not None and len(self.embedding) != self.n:
             raise GraphValidationError("embedding must give one point per node")
-        flaky = tuple(self.gp_masks[u] & ~self.g_masks[u] for u in range(self.n))
+        if self.gp_masks is self.g_masks:
+            flaky = (0,) * self.n
+        else:
+            flaky = tuple(self.gp_masks[u] & ~self.g_masks[u] for u in range(self.n))
         object.__setattr__(self, "_flaky_masks", flaky)
 
-    def _validate_sparse(self) -> None:
-        """Structural checks on packed byte rows, mirroring :meth:`_validate_dense`.
+    def _validate_structure(self) -> None:
+        """Self-loops, ``E ⊆ E'`` and symmetry, checked once on the CSR rows.
 
-        Unlike the dense path this never materializes the n × n bit
-        matrix: subset and self-loop checks scan the ⌈n/8⌉-byte rows
-        directly, and symmetry expands only the bytes that carry edge
-        bits. Error selection order matches the dense path exactly:
-        lowest offending node first (self-loop preferred over subset
-        violation on ties), then ``G`` asymmetry before ``G'``
-        asymmetry, lowest ``(u, v)`` first.
+        Error order: the lowest offending node first (a self-loop before
+        a subset violation on ties), then ``G`` asymmetry before ``G'``
+        asymmetry, the lowest ``(u, v)`` first.
         """
-        g_packed = _packed_adjacency(self.g_masks, self.n)
-        gp_packed = _packed_adjacency(self.gp_masks, self.n)
-        diagonal = np.arange(self.n)
-        diag_bytes = g_packed[diagonal, diagonal >> 3] | gp_packed[diagonal, diagonal >> 3]
-        loops = (diag_bytes >> (diagonal & 7).astype(np.uint8)) & np.uint8(1)
-        subset_rows = (g_packed & ~gp_packed).any(axis=1)
-        if loops.any() or subset_rows.any():
-            loop_u = int(np.argmax(loops)) if loops.any() else self.n
-            subset_u = int(np.argmax(subset_rows)) if subset_rows.any() else self.n
-            if loop_u <= subset_u:
-                raise GraphValidationError(f"self-loop at node {loop_u}")
+        n = self.n
+        g_keys = _csr_keys(self.csr(), n)
+        gp_keys = g_keys if self.gp_masks is self.g_masks else _csr_keys(self.csr(use_gp=True), n)
+        loop_u = subset_u = n
+        for keys in (g_keys, gp_keys):
+            loops = keys[keys // n == keys % n]
+            if loops.size:
+                loop_u = min(loop_u, int(loops[0]) // n)
+        missing = g_keys[~np.isin(g_keys, gp_keys, assume_unique=True)]
+        if missing.size:
+            subset_u = int(missing[0]) // n
+        if loop_u < n and loop_u <= subset_u:
+            raise GraphValidationError(f"self-loop at node {loop_u}")
+        if subset_u < n:
             raise GraphValidationError(
                 f"node {subset_u} has G edges missing from G' (E ⊆ E' violated)"
             )
-        for packed, label in ((g_packed, "G"), (gp_packed, "G'")):
-            pair = _first_asymmetric_edge(packed, self.n)
-            if pair is not None:
-                raise GraphValidationError(
-                    f"{label} edge ({pair[0]}, {pair[1]}) is asymmetric"
-                )
-
-    def _validate_dense(self) -> None:
-        g_packed = _packed_adjacency(self.g_masks, self.n)
-        gp_packed = _packed_adjacency(self.gp_masks, self.n)
-        g_bits = np.unpackbits(g_packed, axis=1, bitorder="little", count=self.n)
-        gp_bits = np.unpackbits(gp_packed, axis=1, bitorder="little", count=self.n)
-        diagonal = np.arange(self.n)
-        loops = g_bits[diagonal, diagonal] | gp_bits[diagonal, diagonal]
-        subset_rows = (g_bits > gp_bits).any(axis=1)
-        if loops.any() or subset_rows.any():
-            loop_u = int(np.argmax(loops)) if loops.any() else self.n
-            subset_u = int(np.argmax(subset_rows)) if subset_rows.any() else self.n
-            # Report the lowest offending node, self-loop first on ties
-            # (the order the old per-node scan raised in).
-            if loop_u <= subset_u:
-                raise GraphValidationError(f"self-loop at node {loop_u}")
-            raise GraphValidationError(
-                f"node {subset_u} has G edges missing from G' (E ⊆ E' violated)"
-            )
-        asym_g = g_bits & (1 - g_bits.T)
-        if asym_g.any():
-            u, v = (int(x) for x in np.argwhere(asym_g)[0])
-            raise GraphValidationError(f"G edge ({u}, {v}) is asymmetric")
-        asym_gp = gp_bits & (1 - gp_bits.T)
-        if asym_gp.any():
-            u, v = (int(x) for x in np.argwhere(asym_gp)[0])
-            raise GraphValidationError(f"G' edge ({u}, {v}) is asymmetric")
+        for keys, label in ((g_keys, "G"), (gp_keys, "G'")):
+            reverse = (keys % n) * n + keys // n
+            asymmetric = keys[~np.isin(reverse, keys, assume_unique=True)]
+            if asymmetric.size:
+                u, v = divmod(int(asymmetric[0]), n)
+                raise GraphValidationError(f"{label} edge ({u}, {v}) is asymmetric")
 
     # ------------------------------------------------------------------
     # Construction
@@ -321,24 +345,55 @@ class DualGraph:
 
         ``extra_gp_edges`` lists only the unreliable edges; ``G'`` is
         their union with ``G``, so ``E ⊆ E'`` holds by construction.
-        Structural re-validation is skipped for the same reason:
-        :func:`normalize_edge` rejects self-loops, :func:`_masks_from_edges`
-        range-checks endpoints and sets both directions of every edge,
-        and the superset union gives ``E ⊆ E'`` — nothing is left for
-        ``__post_init__`` to find.
+        The edges are sorted into CSR with numpy: self-loops and
+        endpoints outside ``[0, n)`` are rejected, duplicates collapse,
+        and both directions of every edge are stored — nothing is left
+        for ``__post_init__`` to validate. With no extra edges ``G'``
+        shares ``G``'s CSR and masks.
         """
-        g_edge_set = {normalize_edge(u, v) for u, v in g_edges}
-        extra_set = {normalize_edge(u, v) for u, v in extra_gp_edges} - g_edge_set
-        g_masks = _masks_from_edges(n, g_edge_set)
-        gp_masks = _masks_from_edges(n, g_edge_set | extra_set)
-        return cls(
-            n=n,
-            g_masks=tuple(g_masks),
-            gp_masks=tuple(gp_masks),
+        if n < 1:
+            raise GraphValidationError(f"need at least one node, got n={n}")
+        g_pairs = _edge_array(g_edges)
+        extra_pairs = _edge_array(extra_gp_edges)
+        g_keys = _distinct(_edge_keys(n, g_pairs))
+        gp_csr = None
+        if len(extra_pairs):
+            gp_keys = _distinct(np.concatenate((g_keys, _edge_keys(n, extra_pairs))))
+            if len(gp_keys) > len(g_keys):
+                gp_csr = _csr_from_keys(n, gp_keys)
+        return cls._from_csr(
+            n,
+            _csr_from_keys(n, g_keys),
+            gp_csr,
             embedding=tuple((float(x), float(y)) for x, y in embedding) if embedding else None,
+            name=name,
+        )
+
+    @classmethod
+    def _from_csr(
+        cls,
+        n: int,
+        g_csr: Csr,
+        gp_csr: Optional[Csr],
+        *,
+        embedding: Optional[tuple[tuple[float, float], ...]],
+        name: str,
+    ) -> "DualGraph":
+        """Build from valid symmetric CSR; ``gp_csr=None`` means ``G' = G``."""
+        g_masks = _masks_from_csr(g_csr, n)
+        gp_masks = g_masks if gp_csr is None else _masks_from_csr(gp_csr, n)
+        graph = cls(
+            n=n,
+            g_masks=g_masks,
+            gp_masks=gp_masks,
+            embedding=embedding,
             name=name,
             validate=False,
         )
+        graph._csr["g"] = g_csr
+        if gp_csr is not None:
+            graph._csr["gp"] = gp_csr
+        return graph
 
     @classmethod
     def static(
@@ -360,6 +415,25 @@ class DualGraph:
         """Per-node masks of the unreliable neighbors (``G' \\ G``)."""
         return self._flaky_masks
 
+    def _cache_key(self, use_gp: bool) -> str:
+        """``"gp"`` for a distinct ``G'``; ``G = G'`` shares the ``"g"`` entry."""
+        return "gp" if use_gp and self.gp_masks is not self.g_masks else "g"
+
+    def csr(self, *, use_gp: bool = False) -> Csr:
+        """``G``'s (or ``G'``'s) adjacency as read-only int32 ``(indptr, indices)``.
+
+        Row ``u`` — ``indices[indptr[u]:indptr[u + 1]]`` — lists ``u``'s
+        neighbors in ascending order. Graphs built from edges carry their
+        CSR from construction; for supplied masks it is derived once,
+        one mask at a time, and cached.
+        """
+        key = self._cache_key(use_gp)
+        arrays = self._csr.get(key)
+        if arrays is None:
+            arrays = _csr_from_masks(self.gp_masks if key == "gp" else self.g_masks, self.n)
+            self._csr[key] = arrays
+        return arrays
+
     def neighbor_matrix(self, *, use_gp: bool = False) -> np.ndarray:
         """The adjacency of ``G`` (or ``G'``) as a dense 0/1 float matrix.
 
@@ -374,10 +448,10 @@ class DualGraph:
         if cache is None:
             cache = {}
             object.__setattr__(self, "_matrix_cache", cache)
-        key = "gp" if use_gp else "g"
+        key = self._cache_key(use_gp)
         matrix = cache.get(key)
         if matrix is None:
-            masks = self.gp_masks if use_gp else self.g_masks
+            masks = self.gp_masks if key == "gp" else self.g_masks
             matrix = masks_to_neighbor_matrix(masks, self.n)
             cache[key] = matrix
         return matrix
@@ -415,10 +489,10 @@ class DualGraph:
         if cache is None:
             cache = {}
             object.__setattr__(self, "_packed_rows_cache", cache)
-        key = "gp" if use_gp else "g"
+        key = self._cache_key(use_gp)
         rows = cache.get(key)
         if rows is None:
-            masks = self.gp_masks if use_gp else self.g_masks
+            masks = self.gp_masks if key == "gp" else self.g_masks
             rows = pack_mask_rows(masks, self.n)
             cache[key] = rows
         return rows
@@ -445,13 +519,12 @@ class DualGraph:
     def max_degree(self) -> int:
         """The paper's ``Δ = max |N_{G'}(u)|`` (known to processes).
 
-        Memoized on the instance: every trial setup asks for it (the
-        processes are entitled to know Δ), and the n popcounts are not
-        free at sweep scale.
+        The longest ``G'`` CSR row, memoized on the instance: every
+        trial setup asks for it (the processes are entitled to know Δ).
         """
         cached = getattr(self, "_max_degree_cache", None)
         if cached is None:
-            cached = max(popcount(mask) for mask in self.gp_masks)
+            cached = int(np.diff(self.csr(use_gp=True)[0]).max())
             object.__setattr__(self, "_max_degree_cache", cached)
         return cached
 
@@ -477,23 +550,26 @@ class DualGraph:
     # Graph algorithms (on G — the problems assume G connected)
     # ------------------------------------------------------------------
     def bfs_distances(self, source: int, *, use_gp: bool = False) -> list[int]:
-        """Hop distances from ``source``; ``-1`` marks unreachable nodes."""
-        masks = self.gp_masks if use_gp else self.g_masks
+        """Hop distances from ``source``; ``-1`` marks unreachable nodes.
+
+        A level-by-level walk of the CSR rows: ``O(n + E)``.
+        """
+        indptr, indices = self.csr(use_gp=use_gp)
+        ptr = indptr.tolist()
+        adjacency = indices.tolist()
         dist = [-1] * self.n
         dist[source] = 0
-        frontier = 1 << source
-        seen = frontier
+        frontier = [source]
         depth = 0
         while frontier:
             depth += 1
-            next_frontier = 0
-            for u in iter_bits(frontier):
-                next_frontier |= masks[u]
-            next_frontier &= ~seen
-            seen |= next_frontier
-            for u in iter_bits(next_frontier):
-                dist[u] = depth
-            frontier = next_frontier
+            reached = []
+            for u in frontier:
+                for v in adjacency[ptr[u] : ptr[u + 1]]:
+                    if dist[v] < 0:
+                        dist[v] = depth
+                        reached.append(v)
+            frontier = reached
         return dist
 
     def is_g_connected(self) -> bool:
@@ -501,29 +577,23 @@ class DualGraph:
 
         Memoized on the instance: the graph is immutable, and problem
         constructors re-check connectivity once per trial while sweeps
-        share one registry-cached graph across every trial and series —
-        without the memo the BFS dominates trial setup at large ``n``.
+        share one registry-cached graph across every trial and series.
         """
         cached = getattr(self, "_g_connected_cache", None)
         if cached is None:
-            cached = all(d >= 0 for d in self.bfs_distances(0))
+            cached = min(self.bfs_distances(0)) >= 0
             object.__setattr__(self, "_g_connected_cache", cached)
         return cached
 
     def g_diameter(self) -> int:
         """Diameter of ``G`` (the paper's ``D``). Exact via all-sources BFS.
 
-        Quadratic in ``n``; fine for experiment-scale graphs. Raises if
+        ``O(n·(n + E))``; fine for experiment-scale graphs. Raises if
         ``G`` is disconnected.
         """
-        best = 0
-        for source in range(self.n):
-            dist = self.bfs_distances(source)
-            ecc = max(dist)
-            if min(dist) < 0:
-                raise GraphValidationError("g_diameter() requires a connected G")
-            best = max(best, ecc)
-        return best
+        if not self.is_g_connected():
+            raise GraphValidationError("g_diameter() requires a connected G")
+        return max(max(self.bfs_distances(source)) for source in range(self.n))
 
     def g_eccentricity(self, source: int) -> int:
         """Max hop distance from ``source`` in ``G`` (broadcast depth)."""
@@ -542,39 +612,42 @@ class DualGraph:
         bracelet network in isolation. The returned graph keeps only
         edges with both endpoints inside ``nodes``.
         """
-        index = {node: i for i, node in enumerate(nodes)}
-        if len(index) != len(nodes):
-            raise GraphValidationError("induced_subgraph nodes must be distinct")
         k = len(nodes)
-        g_masks = [0] * k
-        gp_masks = [0] * k
-        for node, i in index.items():
-            for v in iter_bits(self.g_masks[node]):
-                j = index.get(v)
-                if j is not None:
-                    g_masks[i] |= 1 << j
-            for v in iter_bits(self.gp_masks[node]):
-                j = index.get(v)
-                if j is not None:
-                    gp_masks[i] |= 1 << j
+        if len(set(nodes)) != k:
+            raise GraphValidationError("induced_subgraph nodes must be distinct")
+        if k < 1:
+            raise GraphValidationError("induced_subgraph needs at least one node")
+        remap = np.full(self.n, -1, dtype=np.int64)
+        remap[np.asarray(nodes, dtype=np.int64)] = np.arange(k)
+
+        def kept_keys(csr: Csr) -> np.ndarray:
+            us, vs = remap[_csr_rows(csr[0])], remap[csr[1]]
+            keep = (us >= 0) & (us < vs)
+            return np.sort(us[keep] * k + vs[keep], kind="stable")
+
+        # An induced subgraph of a valid dual graph is valid: symmetry,
+        # loop-freedom, and E ⊆ E' all restrict to the node subset.
+        g_keys = kept_keys(self.csr())
+        gp_csr = None
+        if self.gp_masks is not self.g_masks:
+            gp_keys = kept_keys(self.csr(use_gp=True))
+            if not np.array_equal(gp_keys, g_keys):
+                gp_csr = _csr_from_keys(k, gp_keys)
         emb = None
         if self.embedding is not None:
             emb = tuple(self.embedding[node] for node in nodes)
-        # An induced subgraph of a valid dual graph is valid: symmetry,
-        # loop-freedom, and E ⊆ E' all restrict to the node subset.
-        return DualGraph(
-            n=k,
-            g_masks=tuple(g_masks),
-            gp_masks=tuple(gp_masks),
+        return DualGraph._from_csr(
+            k,
+            _csr_from_keys(k, g_keys),
+            gp_csr,
             embedding=emb,
             name=name or f"{self.name}[induced {k}]",
-            validate=False,
         )
 
     def as_static(self, *, use_gp: bool = False, name: Optional[str] = None) -> "DualGraph":
         """Collapse to a protocol-model graph: ``G = G'`` on ``G`` (or on ``G'``)."""
         masks = self.gp_masks if use_gp else self.g_masks
-        return DualGraph(
+        graph = DualGraph(
             n=self.n,
             g_masks=masks,
             gp_masks=masks,
@@ -582,6 +655,8 @@ class DualGraph:
             name=name or f"{self.name}[static]",
             validate=False,
         )
+        graph._csr["g"] = self.csr(use_gp=use_gp)
+        return graph
 
     def to_networkx(self):  # pragma: no cover - optional dependency convenience
         """Export ``(G, G')`` as a pair of ``networkx.Graph`` objects."""

@@ -130,19 +130,11 @@ def random_geographic(
         raise GraphValidationError("density must be positive")
     rng = random.Random(seed)
     side = math.sqrt(n * math.pi / density)
-    for attempt in range(max_tries):
+    for _ in range(max_tries):
         points = [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
-        graph = geographic_from_points(
-            points, grey_ratio, name=f"geo-rand-{n} (try {attempt})"
-        )
+        graph = geographic_from_points(points, grey_ratio, name=f"geo-rand-{n}")
         if graph.is_g_connected():
-            return DualGraph(
-                n=graph.n,
-                g_masks=graph.g_masks,
-                gp_masks=graph.gp_masks,
-                embedding=graph.embedding,
-                name=f"geo-rand-{n}",
-            )
+            return graph
     raise GraphValidationError(
         f"failed to sample a connected geographic graph after {max_tries} tries "
         f"(n={n}, density={density}); raise the density"

@@ -18,7 +18,6 @@ from typing import AbstractSet, Optional
 
 import numpy as np
 
-from repro.adversaries.base import PACKED_ROWS_MAX_N
 from repro.core.errors import SpecError
 from repro.core.trace import RoundRecord, iter_bits, popcount
 from repro.graphs.dual_graph import DualGraph
@@ -34,21 +33,13 @@ def receiver_set(network: DualGraph, broadcasters: AbstractSet[int]) -> frozense
     Broadcasters themselves belong to ``R`` when they neighbor another
     broadcaster — the definition does not exclude them.
     """
-    b_mask = 0
-    for b in broadcasters:
-        b_mask |= 1 << b
-    n = network.n
-    if n <= PACKED_ROWS_MAX_N:
-        # One vectorized AND over the graph's cached word rows instead
-        # of n bigint ANDs (each O(n/64)) — the rows are the same cache
-        # the stock adversaries adopt, so this is usually a cache hit.
-        rows = network.packed_mask_rows()
-        b_row = np.frombuffer(
-            b_mask.to_bytes(rows.shape[1] * 8, "little"), dtype=np.uint64
-        )
-        hits = (rows & b_row).any(axis=1)
-        return frozenset(np.nonzero(hits)[0].tolist())
-    return frozenset(u for u in range(n) if network.g_masks[u] & b_mask)
+    indptr, indices = network.csr()
+    in_b = np.zeros(network.n, dtype=bool)
+    in_b[list(broadcasters)] = True
+    # The union of B's G rows, one vectorized pass over the CSR.
+    heard = np.zeros(network.n, dtype=bool)
+    heard[indices[np.repeat(in_b, np.diff(indptr))]] = True
+    return frozenset(np.flatnonzero(heard).tolist())
 
 
 class LocalBroadcastObserver(ProblemObserver):

@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import GraphValidationError
-from repro.graphs.builders import er_dual, line_dual
-from repro.graphs.dual_graph import DualGraph, edges_from_adjacency, normalize_edge
+from repro.core.trace import iter_bits
+from repro.graphs.builders import er_dual, line_dual, ring_dual
+from repro.graphs.dual_graph import (
+    DualGraph,
+    edges_from_adjacency,
+    normalize_edge,
+)
+from repro.problems.local_broadcast import receiver_set
 
 
 class TestNormalizeEdge:
@@ -192,3 +202,152 @@ class TestRandomGraphProperties:
         for u in range(n):
             for v in g.gp_neighbors(u):
                 assert u in g.gp_neighbors(v)
+
+
+# ----------------------------------------------------------------------
+# CSR storage: the bigint implementations below are the oracles.
+# ----------------------------------------------------------------------
+def byte_matrix_masks(n, edges):
+    """Masks set through an n × ⌈n/8⌉ byte matrix (the pre-CSR build)."""
+    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    for u, v in edges:
+        packed[u, v >> 3] |= np.uint8(1 << (v & 7))
+        packed[v, u >> 3] |= np.uint8(1 << (u & 7))
+    return tuple(int.from_bytes(packed[u].tobytes(), "little") for u in range(n))
+
+
+def bigint_bfs(masks, source):
+    dist = [-1] * len(masks)
+    dist[source] = 0
+    frontier = seen = 1 << source
+    depth = 0
+    while frontier:
+        depth += 1
+        reached = 0
+        for u in iter_bits(frontier):
+            reached |= masks[u]
+        reached &= ~seen
+        seen |= reached
+        for u in iter_bits(reached):
+            dist[u] = depth
+        frontier = reached
+    return dist
+
+
+@st.composite
+def edge_lists(draw, dense):
+    """A graph on one side of the density rule ``16·nnz ≥ n²``."""
+    n = draw(st.integers(2, 24) if dense else st.integers(24, 90))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if dense:
+        count = draw(st.integers(-(-n * n // 32), len(pairs)))
+    else:
+        count = draw(st.integers(0, (n * n - 1) // 32))
+    chosen = draw(st.permutations(pairs))[:count]
+    # Unnormalized and repeated edges must collapse.
+    edges = [(v, u) if i % 3 else (u, v) for i, (u, v) in enumerate(chosen)]
+    edges += edges[: draw(st.integers(0, 3))]
+    return n, edges
+
+
+def split(draw_edges, data):
+    n, edges = draw_edges
+    cut = data.draw(st.integers(0, len(edges)))
+    return n, edges[:cut], edges[cut:]
+
+
+class TestCsrMatchesBigintOracles:
+    @pytest.mark.parametrize("dense", [False, True])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_csr_graph_equals_oracles(self, dense, data):
+        n, g_edges, extra = split(data.draw(edge_lists(dense)), data)
+        graph = DualGraph.from_edges(n, g_edges, extra)
+        nnz = len(graph.csr(use_gp=True)[1])
+        assert (16 * nnz >= n * n) == dense
+        g_masks = byte_matrix_masks(n, g_edges)
+        gp_masks = byte_matrix_masks(n, g_edges + extra)
+        assert graph.g_masks == g_masks and graph.gp_masks == gp_masks
+        assert graph.flaky_masks == tuple(gp & ~g for g, gp in zip(g_masks, gp_masks))
+        assert graph.max_degree == max(mask.bit_count() for mask in gp_masks)
+        source = data.draw(st.integers(0, n - 1))
+        for use_gp, masks in ((False, g_masks), (True, gp_masks)):
+            assert graph.bfs_distances(source, use_gp=use_gp) == bigint_bfs(masks, source)
+        assert graph.is_g_connected() == (min(bigint_bfs(g_masks, 0)) >= 0)
+        chosen = data.draw(st.sets(st.integers(0, n - 1)))
+        b_mask = sum(1 << b for b in chosen)
+        assert receiver_set(graph, chosen) == frozenset(
+            u for u in range(n) if g_masks[u] & b_mask
+        )
+        # Supplied masks reach the same CSR through validation.
+        supplied = DualGraph(n=n, g_masks=g_masks, gp_masks=gp_masks)
+        for use_gp in (False, True):
+            for built, derived in zip(graph.csr(use_gp=use_gp), supplied.csr(use_gp=use_gp)):
+                np.testing.assert_array_equal(built, derived)
+                assert derived.dtype == np.int32
+
+
+class TestSharedGPrime:
+    def test_no_extra_edges_shares_masks_and_caches(self):
+        graph = DualGraph.from_edges(5, [(0, 1), (1, 2)], [(1, 0)])
+        assert graph.gp_masks is graph.g_masks
+        assert graph.flaky_masks == (0,) * 5
+        assert graph.csr(use_gp=True) is graph.csr()
+        assert graph.neighbor_matrix(use_gp=True) is graph.neighbor_matrix()
+        assert graph.packed_mask_rows(use_gp=True) is graph.packed_mask_rows()
+        assert list(graph._csr) == ["g"]
+
+    def test_extra_edges_keep_separate_masks(self):
+        graph = DualGraph.from_edges(5, [(0, 1), (1, 2)], [(3, 4)])
+        assert graph.gp_masks is not graph.g_masks
+        assert graph.csr(use_gp=True) is not graph.csr()
+
+    def test_equal_supplied_masks_are_shared(self):
+        graph = DualGraph(n=2, g_masks=(0b10, 0b01), gp_masks=(0b10, 0b01))
+        assert graph.gp_masks is graph.g_masks
+        assert graph.csr(use_gp=True) is graph.csr()
+
+    def test_induced_subgraph_without_flaky_edges_shares(self):
+        graph = line_dual(5, extra_flaky_skips=3)
+        sub = graph.induced_subgraph([0, 1])
+        assert sub.gp_masks is sub.g_masks
+        sub = graph.induced_subgraph([2, 3, 4])
+        assert sub.gp_masks is not sub.g_masks
+
+    def test_static_graphs_share(self):
+        static = DualGraph.static(3, [(0, 1)])
+        assert static.gp_masks is static.g_masks
+        as_static = line_dual(4, extra_flaky_skips=2).as_static(use_gp=True)
+        assert as_static.gp_masks is as_static.g_masks
+
+
+class TestValidationErrorOrder:
+    @pytest.mark.parametrize(
+        "g_masks, gp_masks, message",
+        [
+            # Lowest offending node first: subset at 0 before loop at 2.
+            ((0b010, 0b000, 0b100), (0b000, 0b000, 0b100), "node 0 has G edges missing"),
+            # A self-loop wins a tie with a subset violation.
+            ((0b011, 0b001, 0), (0b001, 0b001, 0), "self-loop at node 0"),
+            # G asymmetry before G' asymmetry, lowest (u, v) first.
+            ((0b100, 0b100, 0), (0b110, 0b100, 0), "G edge (0, 2) is asymmetric"),
+            ((0b000, 0b000, 0), (0b110, 0b000, 0b001), "G' edge (0, 1) is asymmetric"),
+            ((0b000, 0b100, 0), (0b000, 0b100, 0b001), "G edge (1, 2) is asymmetric"),
+            ((0b000, 0b000, 0b1000), (0, 0, 0b1000), "node 2 has neighbors outside"),
+        ],
+    )
+    def test_first_error_reported(self, g_masks, gp_masks, message):
+        with pytest.raises(GraphValidationError, match=re.escape(message)):
+            DualGraph(n=3, g_masks=g_masks, gp_masks=gp_masks)
+
+
+def test_sparse_build_allocates_no_quadratic_intermediate():
+    tracemalloc.start()
+    try:
+        graph = ring_dual(20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    mask_bytes = sum(sys.getsizeof(mask) for mask in graph.g_masks)
+    assert graph.gp_masks is graph.g_masks
+    assert peak <= 2 * mask_bytes, f"peak {peak} B for {mask_bytes} B of masks"

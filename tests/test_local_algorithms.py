@@ -109,6 +109,16 @@ class TestGeoLocalParams:
         r = params.init_stage_rounds + params.broadcast_stage_rounds
         assert params.locate(r) == ("broadcast", 0, 0)
 
+    def test_locate_is_computed_once_per_round(self):
+        params = GeoLocalBroadcastParams.resolve(64, 15, gamma=2)
+        fresh = GeoLocalBroadcastParams.resolve(64, 15, gamma=2)
+        rounds = [0, 0, 5, 5, params.init_stage_rounds, 3, params.total_rounds + 7]
+        for r in rounds:
+            first = params.locate(r)
+            assert params.locate(r) is first
+            assert first == fresh.locate(r)
+        assert params == fresh  # the memo is not part of the value
+
     def test_paper_constants(self):
         params = GeoLocalBroadcastParams.resolve(64, 15, paper_constants=True)
         assert params.schedule.gamma == 16

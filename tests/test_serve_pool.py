@@ -18,6 +18,7 @@ from repro.campaign.store import ResultStore
 from repro.core.errors import ServeError
 from repro.serve.jobs import JobManager
 from repro.serve.pool import WorkerPool
+from tests.pool_gate import GatedCount
 
 pytestmark = pytest.mark.slow  # spawn workers take seconds to warm
 
@@ -135,13 +136,20 @@ class TestPoolBasics:
 
 
 class TestKillAndRequeue:
-    def test_sigkill_mid_task_requeues_and_completes(self, pool):
+    def test_sigkill_mid_task_requeues_and_completes(self, pool, tmp_path):
+        # The task blocks reading its trial count until the gate file
+        # exists, and the gate opens only after the kill: the first run
+        # cannot finish before it is killed.
+        gate = tmp_path / "gate"
+        payload = slow_payload()
+        payload["trials"] = GatedCount(SLOW_TRIALS, str(gate))
         events = Events()
-        pool.submit("scenario", slow_payload(), events)
+        pool.submit("scenario", payload, events)
         wait(events.started)
         victims = pool.busy_pids()
         assert victims, "a worker should be busy right after 'started'"
         os.kill(victims[0], signal.SIGKILL)
+        gate.touch()
         wait(events.terminal)
         names = events.names()
         assert names[-1] == "done"
