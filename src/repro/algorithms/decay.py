@@ -15,29 +15,34 @@ algorithm description alone (see
 :mod:`repro.adversaries.schedule_attack`) — and the reason Section 4.1
 replaces it with *permuted* decay.
 
-Processes here:
+Here:
 
 * :class:`PlainDecayGlobalProcess` — BGI global broadcast: the source
   announces in round 0; every informed node joins the ladder at the
-  next phase boundary.
-* :func:`decay_probability` — the ladder itself, shared with tests and
-  attack predictors.
+  next phase boundary (``_PlainDecayBankKernel`` is its bank form);
+* :func:`decay_ladder`, :func:`decay_join_round`,
+  :func:`next_ladder_round` — the ladder, the join and the next active
+  round, on a node's ints or a bank's grids alike.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_source
+from repro.core.kernels import _NEVER, _GlobalKernelBase, _lane_column, _soonest, at_least, pow2
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.trace import Delivery
 from repro.registry import register_algorithm
 
 __all__ = [
     "decay_probability",
     "decay_ladder",
+    "decay_join_round",
+    "next_ladder_round",
     "PlainDecayGlobalProcess",
     "make_plain_decay_global_broadcast",
 ]
@@ -53,20 +58,27 @@ def decay_probability(round_in_phase: int, phase_length: int) -> float:
         raise ValueError(
             f"round_in_phase {round_in_phase} outside [0, {phase_length})"
         )
-    return 2.0 ** (-(round_in_phase + 1))
+    return decay_ladder(round_in_phase, phase_length)
 
 
 def decay_ladder(round_index, phase_length):
-    """Vectorized ladder: ``decay_probability(r mod L, L)``, broadcast.
+    """The ladder at any round offset: ``2^{-(r mod L)-1}``, an exact
+    power of two on ints and grids alike (``%`` keeps negative offsets
+    on the ladder)."""
+    return pow2(-(round_index % phase_length) - 1)
 
-    ``round_index`` and ``phase_length`` may be scalars or integer
-    arrays (numpy broadcasting applies; ``np.mod`` keeps the result
-    non-negative for negative round offsets, matching Python's ``%``).
-    The rungs are exact powers of two via ``np.ldexp``, bit-identical
-    to the scalar :func:`decay_probability` — the single-message bank
-    kernels rely on this to share one rung across every lane per round.
-    """
-    return np.ldexp(1.0, -np.mod(round_index, phase_length) - 1)
+
+def decay_join_round(round_index, phase_length):
+    """Where a node that adopts in round ``r`` joins the ladder: the next
+    round, pushed to the global phase clock's boundary (offset 1, where
+    the source joins), so every informed node sits on the same rung."""
+    return round_index + 1 + (-round_index) % phase_length
+
+
+def next_ladder_round(round_index, start):
+    """First round after ``r`` on which a node joined at ``start``
+    transmits: it rides the ladder every round once it has joined."""
+    return at_least(round_index + 1, start)
 
 
 class PlainDecayGlobalProcess(Process):
@@ -111,47 +123,70 @@ class PlainDecayGlobalProcess(Process):
         return self.message is not None
 
     def next_state_change(self, round_index: int):
-        # The plan rides the ladder: it changes every round while the
-        # node is active, so only the silent stretches (uninformed /
-        # waiting / window-ended) are stable.
-        if self.message is None:
-            return None  # adoption arrives via feedback
-        if round_index == 0 and self.node_id == self.source:
-            return 1
+        # Only the silent stretches (uninformed / waiting / window
+        # ended) are stable; the source's ladder starts at round 1.
         start = self.participate_from
         if start is None:
-            return None
-        if round_index < start:
-            return start
+            return None  # adoption arrives via feedback
         if self.active_phases is not None and (
             round_index >= start + self.active_phases * self.phase_length
         ):
             return None  # the window ended; silent for good
-        return round_index + 1  # active ladder: a new rung every round
+        return next_ladder_round(round_index, start)
 
     def plan(self, round_index: int) -> RoundPlan:
-        if self.message is None:
+        start = self.participate_from  # set exactly when the message is
+        if start is None:
             return RoundPlan.silence()
         if round_index == 0 and self.node_id == self.source:
             return RoundPlan.certain(self.message)
-        start = self.participate_from
-        if start is None or round_index < start:
+        if round_index < start or self.active_phases is not None and (
+            round_index >= start + self.active_phases * self.phase_length
+        ):
             return RoundPlan.silence()
-        if self.active_phases is not None:
-            if round_index >= start + self.active_phases * self.phase_length:
-                return RoundPlan.silence()
-        j = (round_index - start) % self.phase_length
-        return RoundPlan(probability=decay_probability(j, self.phase_length), message=self.message)
+        return RoundPlan(
+            probability=decay_ladder(round_index - start, self.phase_length),
+            message=self.message,
+        )
 
     def on_feedback(self, round_index: int, sent: bool, received: Optional[Message]) -> None:
         if self.message is None and received is not None and received.is_data():
             self.message = received
-            # Join at the next phase boundary relative to the global
-            # clock offset used by everyone (source joined at round 1).
-            rounds_since_epoch = round_index + 1 - 1  # next round, minus epoch offset 1
-            remainder = rounds_since_epoch % self.phase_length
-            wait = 0 if remainder == 0 else self.phase_length - remainder
-            self.participate_from = round_index + 1 + wait
+            self.participate_from = decay_join_round(round_index, self.phase_length)
+
+
+class _PlainDecayBankKernel(_GlobalKernelBase):
+    """All trials of a plain-decay bank: ``start[t, u]`` is the node's
+    ``participate_from`` (``_NEVER`` = uninformed). Every join lies on a
+    phase boundary, so rung ``r - 1`` serves a lane's informed set."""
+
+    mirrors = PlainDecayGlobalProcess
+    lane_params = _GlobalKernelBase.lane_params + ("phase_length",)
+    unbounded = ("active_phases",)
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.phase = _lane_column(banks, "phase_length", np.int64)
+        self.start = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
+        for t, bank in enumerate(banks):
+            for u, process in enumerate(bank):
+                if process.participate_from is not None:
+                    self.start[t, u] = process.participate_from
+
+    def _plan(self, r: int) -> np.ndarray:
+        if r == 0:
+            return self._announcement()
+        return self._shared_rung(self.start <= r, decay_ladder(r - 1, self.phase))
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """First data reception adopts; join at the next phase boundary."""
+        adopted = self._adopt(t, deliveries)
+        if adopted:
+            self.start[t, adopted] = decay_join_round(r, int(self.phase[t, 0]))
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        start = self.start[t]
+        return _soonest(next_ladder_round(r, start[start != _NEVER]))
 
 
 def make_plain_decay_global_broadcast(

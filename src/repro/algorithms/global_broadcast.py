@@ -32,13 +32,18 @@ neighborhoods; the bench shows the coordination is what buys the
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_source
+from repro.algorithms.decay import next_ladder_round
 from repro.algorithms.permuted_decay import PermutedDecaySchedule
 from repro.core.bits import BitStream
+from repro.core.kernels import _NEVER, _GlobalKernelBase, _lane_column, _soonest
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.trace import Delivery
 from repro.registry import register_algorithm
 
 __all__ = [
@@ -46,7 +51,29 @@ __all__ = [
     "UncoordinatedDecayGlobalProcess",
     "make_oblivious_global_broadcast",
     "make_uncoordinated_decay_global_broadcast",
+    "adopts_shared_bits",
+    "permuted_join_epoch",
+    "permuted_position",
 ]
+
+
+def adopts_shared_bits(message: Message) -> bool:
+    """Section 4.1's adoption rule: only a data message ⟨m', S⟩ is relayed."""
+    return message.is_data() and message.shared_bits is not None
+
+
+def permuted_join_epoch(round_index, epoch_length):
+    """The epoch a node that adopts in round ``r`` joins: the first epoch
+    boundary strictly after ``r``."""
+    return round_index // epoch_length + 1
+
+
+def permuted_position(round_index, epoch_length, num_chunks, bits_per_call):
+    """``(epoch, chunk_offset, round_in_epoch)`` of round ``r``: epoch
+    ``e`` reads chunk ``e mod num_chunks`` of ``S``, so every caller
+    active in an epoch reads the same bits (Lemma 4.2's precondition)."""
+    epoch, round_in_epoch = divmod(round_index, epoch_length)
+    return epoch, (epoch % num_chunks) * bits_per_call, round_in_epoch
 
 
 class ObliviousGlobalBroadcastProcess(Process):
@@ -127,13 +154,12 @@ class ObliviousGlobalBroadcastProcess(Process):
         join = self.join_epoch
         if join is None:
             return None  # adoption arrives via feedback
-        if round_index < join * self._epoch_len:
-            return join * self._epoch_len
         if self.epochs_per_node is not None:
             end = (join + self.epochs_per_node) * self._epoch_len
             if round_index >= end:
                 return None  # budget exhausted; silent for good
-        return round_index + 1  # active permuted decay: new rung each round
+        # Active permuted decay draws a new rung each round.
+        return next_ladder_round(round_index, join * self._epoch_len)
 
     def plan(self, round_index: int) -> RoundPlan:
         if self.node_id == self.source:
@@ -142,23 +168,66 @@ class ObliviousGlobalBroadcastProcess(Process):
             return RoundPlan.silence()  # "the source's role ... is finished"
         if self.message is None or self.join_epoch is None:
             return RoundPlan.silence()
-        epoch, round_in_epoch = divmod(round_index, self.epoch_length)
+        schedule = self.schedule
+        epoch, chunk_offset, round_in_epoch = permuted_position(
+            round_index, self._epoch_len, self.num_chunks, schedule.bits_per_call
+        )
         if epoch < self.join_epoch:
             return RoundPlan.silence()
         if self.epochs_per_node is not None and epoch >= self.join_epoch + self.epochs_per_node:
             return RoundPlan.silence()
-        shared = self.message.shared_bits
-        chunk_offset = (epoch % self.num_chunks) * self.schedule.bits_per_call
-        probability = self.schedule.probability(shared, chunk_offset, round_in_epoch)
+        probability = schedule.probability(
+            self.message.shared_bits, chunk_offset, round_in_epoch
+        )
         return RoundPlan(probability=probability, message=self.message)
 
     def on_feedback(self, round_index: int, sent: bool, received: Optional[Message]) -> None:
-        if self.message is None and received is not None and received.is_data():
-            if received.shared_bits is None:
-                return  # not a ⟨m', S⟩ message of this algorithm
+        if self.message is None and received is not None and adopts_shared_bits(received):
             self.message = received
-            # Wait for the first epoch boundary strictly after this round.
-            self.join_epoch = (round_index + 1 + self.epoch_length - 1) // self.epoch_length
+            self.join_epoch = permuted_join_epoch(round_index, self._epoch_len)
+
+
+class _PermutedDecayBankKernel(_GlobalKernelBase):
+    """All trials of a permuted-decay bank: ``start[t, u]`` is the first
+    round of node ``u``'s join epoch (``_NEVER`` = not joined; the
+    source never joins). All active nodes of a lane read the same chunk
+    of ``S``, so the round's rung is one schedule lookup per lane."""
+
+    mirrors = ObliviousGlobalBroadcastProcess
+    lane_params = _GlobalKernelBase.lane_params + ("schedule", "num_chunks")
+    unbounded = ("epochs_per_node",)
+    _adoptable = staticmethod(adopts_shared_bits)
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.schedule = [bank[0].schedule for bank in banks]
+        self.num_chunks = _lane_column(banks, "num_chunks", np.int64)
+        self.epoch_len = _lane_column(banks, "epoch_length", np.int64)
+        self.bits = np.array([[s.bits_per_call] for s in self.schedule], dtype=np.int64)
+        self.shared = [message.shared_bits for message in self.message]
+        self.start = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
+
+    def _plan(self, r: int) -> np.ndarray:
+        if r == 0:
+            return self._announcement()
+        _, offsets, positions = permuted_position(
+            r, self.epoch_len, self.num_chunks, self.bits
+        )
+        # The same schedule call plan() makes, so the float is identical.
+        lanes = zip(self.schedule, self.shared, offsets.tolist(), positions.tolist())
+        rungs = [[s.probability(bits, o, p)] for s, bits, (o,), (p,) in lanes]
+        return self._shared_rung(self.start <= r, np.array(rungs))
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """First ⟨m', S⟩ reception adopts; join at the next epoch boundary."""
+        adopted = self._adopt(t, deliveries)
+        if adopted:
+            epoch_len = int(self.epoch_len[t, 0])
+            self.start[t, adopted] = permuted_join_epoch(r, epoch_len) * epoch_len
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        start = self.start[t]
+        return _soonest(next_ladder_round(r, start[start != _NEVER]))
 
 
 class UncoordinatedDecayGlobalProcess(Process):

@@ -17,10 +17,13 @@ sparse attackers in E4/E6/E8.
 from __future__ import annotations
 
 from functools import partial
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, log2_ceil, spec_broadcasters
-from repro.algorithms.decay import decay_probability
+from repro.algorithms.decay import decay_ladder
+from repro.core.kernels import _lane_column, _LocalKernelBase
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
@@ -64,10 +67,30 @@ class StaticLocalDecayProcess(Process):
     def plan(self, round_index: int) -> RoundPlan:
         if not self.is_broadcaster:
             return RoundPlan.silence()
-        j = round_index % self.phase_length
         return RoundPlan(
-            probability=decay_probability(j, self.phase_length), message=self.message
+            probability=decay_ladder(round_index, self.phase_length), message=self.message
         )
+
+
+class _StaticDecayBankKernel(_LocalKernelBase):
+    """All trials of a static local decay bank: broadcasters ride the
+    public ladder from round 0 forever, one masked rung per round."""
+
+    mirrors = StaticLocalDecayProcess
+    lane_params = ("phase_length",)
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.phase = _lane_column(banks, "phase_length", np.int64)
+
+    def _plan(self, r: int) -> np.ndarray:
+        return self._shared_rung(
+            self.has_message, decay_ladder(r, self.phase), self._bcount
+        )
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        # Broadcasters ride the public ladder every round, forever.
+        return r + 1 if int(self._bcount[t]) else None
 
 
 def make_static_local_broadcast(

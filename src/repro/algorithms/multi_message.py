@@ -23,22 +23,27 @@ machines on the radio engines (the *simulated* MAC realization — see
 
 Both processes keep their transition rule a pure function of
 ``(feedback history, round index)``: time-driven transitions (window
-expiry, back-off epochs) are *derived* lazily by an idempotent
-``_advance(r)`` normalization instead of being pushed by per-round
-feedback, which is what licenses ``idle_feedback_noop`` and lets the
-bank engine's struct-of-arrays kernels fold the same transitions by
-index arithmetic (``tests/test_engine_equivalence.py`` holds both
-protocols to full-trace identity across engines).
+expiry, back-off epochs) are *derived* lazily instead of being pushed
+by per-round feedback, which is what licenses ``idle_feedback_noop``.
+Each is one module-level rule — :func:`ack_windows_elapsed` and
+:func:`backoff_rate` — that the process calls on its own ints and the
+bank kernels beside it (``_GklnBankKernel``, ``_BackoffBankKernel``)
+call on (trials × nodes) grids (``tests/test_engine_equivalence.py``
+holds both protocols to full-trace identity across engines).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import AlgorithmSpec, clamp_probability, log2_ceil
+from repro.algorithms.decay import decay_ladder
+from repro.core.kernels import _lane_column, _MultiMessageKernelBase, at_least, pow2
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
+from repro.core.trace import Delivery
 from repro.mac.base import MessageAssignment, spec_messages
 from repro.mac.simulated import SimulatedMACLayer
 from repro.registry import register_algorithm
@@ -46,9 +51,24 @@ from repro.registry import register_algorithm
 __all__ = [
     "GklnMultiMessageProcess",
     "BackoffMultiMessageProcess",
+    "ack_windows_elapsed",
+    "backoff_rate",
     "make_gkln_multi_message",
     "make_backoff_multi_message",
 ]
+
+
+def ack_windows_elapsed(round_index, window_start, window):
+    """Full ack windows from ``window_start`` to round ``r`` (negative
+    before it): GKLN's time-driven ack pops one queue head per window."""
+    return (round_index - window_start) // window
+
+
+def backoff_rate(round_index, last_new, window, base, floor):
+    """Exponential back-off: ``base`` halved (exactly) per quiet
+    ``window`` since the last new message, floored at ``floor``."""
+    epoch = at_least(round_index - last_new, 0) // window
+    return at_least(base * pow2(-epoch), floor)
 
 
 def _initial_messages(ctx: ProcessContext, assignment: MessageAssignment) -> list[Message]:
@@ -109,20 +129,24 @@ class GklnMultiMessageProcess(Process):
             if persist_probability is not None
             else 1.0 / (2.0 * (ctx.max_degree + 1))
         )
-        self._queue: deque[Message] = deque(_initial_messages(ctx, assignment))
-        self._known = {message.payload for message in self._queue}
-        self._all_known: list[Message] = list(self._queue)
-        self._head_start: Optional[int] = 0 if self._queue else None
+        # Relay-once queues every learned message once, in learn order,
+        # so the pending FIFO is the suffix ``_all_known[_qhead:]``.
+        self._all_known: list[Message] = _initial_messages(ctx, assignment)
+        self._known = {message.payload for message in self._all_known}
+        self._qhead = 0
+        self._head_start: Optional[int] = 0 if self._all_known else None
 
     def _advance(self, round_index: int) -> None:
         """Fold elapsed ack windows: every full window pops its head."""
         start = self._head_start
         if start is None:
             return
-        while self._queue and start + self.window <= round_index:
-            self._queue.popleft()
-            start += self.window
-        self._head_start = start if self._queue else None
+        pops = ack_windows_elapsed(round_index, start, self.window)
+        if pops > 0:
+            pending = len(self._all_known) - self._qhead
+            pops = min(pops, pending)
+            self._qhead += pops
+            self._head_start = start + pops * self.window if pops < pending else None
 
     def _background(self, round_index: int) -> Optional[Message]:
         """The persistence rotation's message for this round, if any."""
@@ -138,9 +162,8 @@ class GklnMultiMessageProcess(Process):
             if message is None:
                 return RoundPlan.silence()
             return RoundPlan(probability=self.persist_probability, message=message)
-        slot = round_index - start
-        probability = 2.0 ** (-(slot % self.rungs) - 1)
-        return RoundPlan(probability=probability, message=self._queue[0])
+        probability = decay_ladder(round_index - start, self.rungs)
+        return RoundPlan(probability=probability, message=self._all_known[self._qhead])
 
     def next_state_change(self, round_index: int) -> Optional[int]:
         # Serving and persisting plans move every round (ladder slot /
@@ -159,7 +182,6 @@ class GklnMultiMessageProcess(Process):
         if received.payload in self._known:
             return
         self._known.add(received.payload)
-        self._queue.append(received)
         self._all_known.append(received)
         if self._head_start is None:
             # The queue was idle: the new message's window opens next round.
@@ -168,8 +190,61 @@ class GklnMultiMessageProcess(Process):
     def describe_state(self) -> str:
         return (
             f"gkln(node={self.node_id}, known={len(self._known)}, "
-            f"pending={len(self._queue)})"
+            f"pending={len(self._all_known) - self._qhead})"
         )
+
+
+class _GklnBankKernel(_MultiMessageKernelBase):
+    """All trials of a GKLN bank: ``qhead`` and ``head_start`` are each
+    node's ``_qhead`` and ``_head_start`` (−1 = idle) over the
+    append-order log ``order``."""
+
+    mirrors = GklnMultiMessageProcess
+    lane_params = ("assignment", "window", "rungs", "persist_probability")
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.window = _lane_column(banks, "window", np.int64)
+        self.rungs = _lane_column(banks, "rungs", np.int64)
+        self.persist = _lane_column(banks, "persist_probability", np.float64)
+        self.qhead = np.zeros((self.trials, self.n), dtype=np.int64)
+        self.head_start = np.full((self.trials, self.n), -1, dtype=np.int64)
+        for t, bank in enumerate(banks):
+            for u, process in enumerate(bank):
+                self._ingest_knowledge(t, u, list(process._all_known))
+                self.qhead[t, u] = process._qhead
+                if process._head_start is not None:
+                    self.head_start[t, u] = process._head_start
+
+    def _plan(self, r: int) -> np.ndarray:
+        head_start, qhead, klen = self.head_start, self.qhead, self.klen
+        # Fold elapsed ack windows, at most the pending heads; an idle
+        # node has none pending and so pops nothing.
+        pops = np.minimum(ack_windows_elapsed(r, head_start, self.window), klen - qhead)
+        np.maximum(pops, 0, out=pops)
+        qhead += pops
+        head_start += pops * self.window
+        head_start[qhead >= klen] = -1
+        serving = head_start >= 0
+        # Serving nodes climb the decay ladder; idle nodes with
+        # knowledge persist at the background duty cycle; everyone else
+        # is silent.
+        ladder = decay_ladder(r - head_start, self.rungs)
+        background = np.where((klen > 0) & (self.persist > 0.0), self.persist, 0.0)
+        return np.where(serving, ladder, background)
+
+    def message_for(self, t: int, u: int) -> Message:
+        """The queue head while serving, the rotation while idle."""
+        if self.head_start[t, u] >= 0:
+            return self.messages[t][int(self.order[t, u, self.qhead[t, u]])]
+        return super().message_for(t, u)
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """Sparse reception feedback (idle/transmit feedback are no-ops)."""
+        for u in self._learners(t, deliveries):
+            if self.head_start[t, u] < 0:
+                # The queue was idle: the window opens next round.
+                self.head_start[t, u] = r + 1
 
 
 class BackoffMultiMessageProcess(Process):
@@ -217,8 +292,10 @@ class BackoffMultiMessageProcess(Process):
     def _probability(self, round_index: int) -> float:
         if self.regime == "fixed":
             return self.base_probability
-        epoch = max(0, round_index - self._last_new) // self.backoff_window
-        return max(self.min_probability, self.base_probability * 2.0 ** (-epoch))
+        return backoff_rate(
+            round_index, self._last_new, self.backoff_window,
+            self.base_probability, self.min_probability,
+        )
 
     def _current(self, round_index: int) -> Message:
         return self._known[(round_index + self.node_id) % len(self._known)]
@@ -248,6 +325,43 @@ class BackoffMultiMessageProcess(Process):
 
     def describe_state(self) -> str:
         return f"backoff(node={self.node_id}, known={len(self._known)})"
+
+
+class _BackoffBankKernel(_MultiMessageKernelBase):
+    """All trials of a simple back-off bank, as arrays: nodes holding
+    messages transmit at the regime's rate and rotate through their
+    knowledge log offset by node id."""
+
+    mirrors = BackoffMultiMessageProcess
+    lane_params = (
+        "assignment",
+        "regime",
+        "backoff_window",
+        "base_probability",
+        "min_probability",
+    )
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.exponential = _lane_column(banks, "regime") == "exponential"
+        self.backoff_window = _lane_column(banks, "backoff_window", np.int64)
+        self.base = _lane_column(banks, "base_probability", np.float64)
+        self.floor = _lane_column(banks, "min_probability", np.float64)
+        self.last_new = np.zeros((self.trials, self.n), dtype=np.int64)
+        for t, bank in enumerate(banks):
+            for u, process in enumerate(bank):
+                self._ingest_knowledge(t, u, list(process._known))
+
+    def _plan(self, r: int) -> np.ndarray:
+        backed = backoff_rate(r, self.last_new, self.backoff_window, self.base, self.floor)
+        rate = np.where(self.exponential, backed, self.base)
+        return np.where(self.klen > 0, rate, 0.0)
+
+    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
+        """Sparse reception feedback (idle/transmit feedback are no-ops)."""
+        for u in self._learners(t, deliveries):
+            # New knowledge resets the back-off clock from next round.
+            self.last_new[t, u] = r + 1
 
 
 # ----------------------------------------------------------------------

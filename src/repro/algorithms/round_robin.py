@@ -31,7 +31,10 @@ import random
 from functools import partial
 from typing import AbstractSet, Optional, Sequence
 
+import numpy as np
+
 from repro.algorithms.base import AlgorithmSpec, spec_broadcasters, spec_source
+from repro.core.kernels import _GlobalKernelBase, _LocalKernelBase, _node_grid, _soonest
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
@@ -39,9 +42,23 @@ from repro.registry import register_algorithm
 __all__ = [
     "RoundRobinLocalProcess",
     "RoundRobinGlobalProcess",
+    "on_slot",
+    "slot_gap",
     "make_round_robin_local_broadcast",
     "make_round_robin_global_broadcast",
 ]
+
+
+def on_slot(round_index, slot, n):
+    """Footnotes 4–5: a node holding a message transmits (certainly) iff
+    ``r ≡ slot (mod n)``. On Python ints or integer slot grids."""
+    return round_index % n == slot
+
+
+def slot_gap(round_index, slot, n):
+    """Rounds from ``r`` until ``slot`` fires, 0 on the slot round itself
+    (on Python ints or integer grids)."""
+    return (slot - round_index) % n
 
 
 def _slot_table(n: int, slot_seed: Optional[int]) -> Optional[Sequence[int]]:
@@ -53,7 +70,24 @@ def _slot_table(n: int, slot_seed: Optional[int]) -> Optional[Sequence[int]]:
     return slots
 
 
-class RoundRobinLocalProcess(Process):
+class _SlotProcess(Process):
+    """A node that transmits the message it holds, if any, on its slot."""
+
+    def next_state_change(self, round_index: int):
+        # The plan is a pure function of ``r mod n``: silence until the
+        # slot round, one certain transmission, silence again.
+        if self.message is None or self.ctx.n == 1:
+            return None  # only adoption, or every round is the slot round
+        # Standing on the slot, the plan falls silent next round.
+        return round_index + (slot_gap(round_index, self.slot, self.ctx.n) or 1)
+
+    def plan(self, round_index: int) -> RoundPlan:
+        if self.message is not None and on_slot(round_index, self.slot, self.ctx.n):
+            return RoundPlan.certain(self.message)
+        return RoundPlan.silence()
+
+
+class RoundRobinLocalProcess(_SlotProcess):
     """Local broadcast by id schedule: node ``u`` transmits iff ``r ≡ u (mod n)``.
 
     Every broadcaster gets one guaranteed-solo round per ``n``-round
@@ -78,23 +112,8 @@ class RoundRobinLocalProcess(Process):
                 MessageKind.DATA, origin=ctx.node_id, payload=payload
             )
 
-    def next_state_change(self, round_index: int):
-        # The plan is a pure function of ``r mod n``: silence until the
-        # slot round, one certain transmission, silence again.
-        if not self.is_broadcaster:
-            return None
-        if self.ctx.n == 1:
-            return None  # every round is the slot round
-        delta = (self.slot - round_index) % self.ctx.n
-        return round_index + (delta if delta else 1)
 
-    def plan(self, round_index: int) -> RoundPlan:
-        if self.is_broadcaster and round_index % self.ctx.n == self.slot:
-            return RoundPlan.certain(self.message)
-        return RoundPlan.silence()
-
-
-class RoundRobinGlobalProcess(Process):
+class RoundRobinGlobalProcess(_SlotProcess):
     """Global broadcast by repeated round robin sweeps: ``O(n · D)`` rounds.
 
     Informed nodes transmit in their id slot; each ``n``-round sweep
@@ -125,22 +144,44 @@ class RoundRobinGlobalProcess(Process):
     def informed(self) -> bool:
         return self.message is not None
 
-    def next_state_change(self, round_index: int):
-        if self.message is None:
-            return None  # adoption arrives via feedback
-        if self.ctx.n == 1:
-            return None  # every round is the slot round
-        delta = (self.slot - round_index) % self.ctx.n
-        return round_index + (delta if delta else 1)
-
-    def plan(self, round_index: int) -> RoundPlan:
-        if self.message is not None and round_index % self.ctx.n == self.slot:
-            return RoundPlan.certain(self.message)
-        return RoundPlan.silence()
-
     def on_feedback(self, round_index: int, sent: bool, received: Optional[Message]) -> None:
         if self.message is None and received is not None and received.is_data():
             self.message = received
+
+
+class _SlotPlan:
+    """The round-robin plan over a lane grid: nodes with a message fire
+    on their slot, so the plan is one :func:`on_slot` compare.
+
+    Mixed into a local or global kernel base, which supplies
+    ``has_message``.
+    """
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.slots = _node_grid(banks, "slot", np.int64)
+
+    def _plan(self, r: int) -> np.ndarray:
+        firing = self.has_message & on_slot(r, self.slots, self.n)
+        return self._shared_rung(firing, self._ones)
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        """First round *strictly* after ``r`` on which any held slot fires
+        (standing on a slot maps a full cycle forward)."""
+        held = self.slots[t][self.has_message[t]]
+        return _soonest(r + 1 + slot_gap(r + 1, held, self.n))
+
+
+class _RoundRobinLocalBankKernel(_SlotPlan, _LocalKernelBase):
+    """All trials of a footnote-4 round-robin local bank."""
+
+    mirrors = RoundRobinLocalProcess
+
+
+class _RoundRobinGlobalBankKernel(_SlotPlan, _GlobalKernelBase):
+    """All trials of a footnote-5 round-robin global bank."""
+
+    mirrors = RoundRobinGlobalProcess
 
 
 def make_round_robin_local_broadcast(

@@ -12,7 +12,9 @@ count is the same every round).
 
 from __future__ import annotations
 
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Optional, Sequence
+
+import numpy as np
 
 from repro.algorithms.base import (
     AlgorithmSpec,
@@ -20,6 +22,7 @@ from repro.algorithms.base import (
     spec_broadcasters,
     spec_source,
 )
+from repro.core.kernels import _GlobalKernelBase, _lane_column, _LocalKernelBase
 from repro.core.messages import Message, MessageKind
 from repro.core.process import Process, ProcessContext, RoundPlan
 from repro.registry import register_algorithm
@@ -82,8 +85,9 @@ class UniformGlobalProcess(Process):
       the optimum falls to ``p ≈ 1/|informed|``, crossing in ``Θ(n)``
       rounds — matching the [11] cell.
 
-    ``rate`` may be a float or a callable ``n ↦ p`` evaluated at
-    construction.
+    ``probability`` is a plain float, clamped into ``[0, 1]`` at
+    construction and shared by every node; a rate that depends on ``n``
+    is computed by the caller before the spec is built.
     """
 
     def __init__(
@@ -124,6 +128,49 @@ class UniformGlobalProcess(Process):
     def on_feedback(self, round_index: int, sent: bool, received: Optional[Message]) -> None:
         if self.message is None and received is not None and received.is_data():
             self.message = received
+
+
+class _UniformLocalBankKernel(_LocalKernelBase):
+    """All trials of a constant-rate local bank; no feedback."""
+
+    mirrors = UniformLocalProcess
+    lane_params = ("probability",)
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.rate = _lane_column(banks, "probability", np.float64)
+
+    def _plan(self, r: int) -> np.ndarray:
+        return self._shared_rung(self.has_message, self.rate, self._bcount)
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        if int(self._bcount[t]) and float(self.rate[t, 0]) > 0.0:
+            return r + 1  # a live rate is a coin flip every round
+        return None
+
+
+class _UniformGlobalBankKernel(_GlobalKernelBase):
+    """All trials of a constant-rate global bank."""
+
+    mirrors = UniformGlobalProcess
+    lane_params = _GlobalKernelBase.lane_params + ("probability",)
+
+    def __init__(self, banks: Sequence[Sequence]) -> None:
+        super().__init__(banks)
+        self.rate = _lane_column(banks, "probability", np.float64)
+
+    def _plan(self, r: int) -> np.ndarray:
+        if r == 0:
+            return self._announcement()
+        return self._shared_rung(self.has_message, self.rate)
+
+    def next_active_round(self, t: int, r: int) -> Optional[int]:
+        if r == 0 or float(self.rate[t, 0]) > 0.0:
+            # The round-1 case is conservative for a zero rate, but a
+            # zero-rate global relay is a degenerate config not worth a
+            # special case here.
+            return r + 1
+        return None
 
 
 def make_uniform_global_broadcast(

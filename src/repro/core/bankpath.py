@@ -18,39 +18,29 @@ Three layers cooperate:
    returns for a single trial) is a bank of one lane, and so is a
    public ``engine.step()``; the cross-trial wins need a whole seed
    bank.
-2. **Vectorized protocol kernels.** Two families replace the per-node
-   Python state machines with struct-of-arrays state:
-
-   * the **multi-message MAC protocols**
-     (:class:`~repro.algorithms.multi_message.GklnMultiMessageProcess`,
-     :class:`~repro.algorithms.multi_message.BackoffMultiMessageProcess`)
-     keep knowledge as a (trials × nodes × words) uint64 bitmap —
-     any message count, 64 per word — with append-order message logs,
-     ack windows and back-off epochs folded by vectorized index
-     arithmetic;
-   * the **single-message decay family** (plain decay, permuted decay,
-     static local decay, round robin, uniform) keeps (trials × nodes)
-     informed/participation state and shares one ``np.ldexp``
-     probability ladder (or schedule rung) across every lane per
-     round — one scalar probability per lane per round covers the
-     whole active set, which also makes the expected-transmitter sum
-     exact in O(1). They follow the paper's split: local broadcast
-     (a fixed broadcaster set, each node its own message) and global
-     broadcast (one source's message, relayed on first reception)
-     each have one base class.
-
-   Each kernel is a declaration over :class:`_KernelBase`: the process
-   class it mirrors (the key of ``_KERNELS``), the ``lane_params`` a
-   lane shares, the ``unbounded`` budgets that must be ``None`` and a
-   role rule — one eligibility check reads all four — plus one
-   ``_plan(r)`` behind one per-round plan cache.
+2. **Vectorized protocol kernels.** A kernel replaces a protocol's
+   per-node Python state machines with (trials × nodes) arrays. It is
+   not written here: each of the nine kernels lives in its algorithm's
+   module, beside the :class:`~repro.core.process.Process` it mirrors,
+   on the bases in :mod:`repro.core.kernels` (the multi-message MAC
+   family, and the single-message family split into local and global
+   broadcast). Each protocol's rule — join or adopt, rung or slot,
+   next active round, ack-window fold, back-off rate — is written once,
+   as a module-level function of plain arithmetic: the process, which
+   is what the ``reference`` engine runs, calls it on Python ints, and
+   the kernel calls it on its grids. A kernel's ``next_active_round``
+   is the lane minimum of the per-node rule the process's
+   ``next_state_change`` uses. Each kernel declares the exact process
+   class it mirrors and registers itself in ``_KERNELS`` when its
+   module is imported; :func:`build_bank_kernel` selects from that one
+   table.
 
    The kernels reproduce the reference engine's plans bit-for-bit
-   (probabilities are exact powers of two via ``ldexp``; message
-   identity is canonical), which ``tests/test_engine_equivalence.py``
-   holds to full-trace identity. Algorithms without a kernel run the
-   reference engine's own per-node plan and feedback stages in each
-   lane — still batched at the coins/reception layer.
+   (probabilities are exact powers of two; message identity is
+   canonical), which ``tests/test_engine_equivalence.py`` holds to
+   full-trace identity. Algorithms without a kernel run the reference
+   engine's own per-node plan and feedback stages in each lane — still
+   batched at the coins/reception layer.
 3. **One round and one lockstep scheduler.** :func:`_bank_round` is
    the bank's only round: transmission coins are drawn as a (trials ×
    nodes) batch — one ``Generator.random(out=row)`` per lane against
@@ -80,7 +70,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from time import perf_counter_ns
 from typing import Optional, Sequence
 
@@ -93,15 +82,6 @@ from repro.adversaries.base import (
     LinkProcess,
     ObliviousView,
 )
-from repro.algorithms.decay import PlainDecayGlobalProcess, decay_ladder
-from repro.algorithms.global_broadcast import ObliviousGlobalBroadcastProcess
-from repro.algorithms.local_static import StaticLocalDecayProcess
-from repro.algorithms.multi_message import (
-    BackoffMultiMessageProcess,
-    GklnMultiMessageProcess,
-)
-from repro.algorithms.round_robin import RoundRobinGlobalProcess, RoundRobinLocalProcess
-from repro.algorithms.uniform import UniformGlobalProcess, UniformLocalProcess
 from repro.core.engine import (
     _SKIP_BACKOFF_MAX,
     ExecutionResult,
@@ -109,6 +89,7 @@ from repro.core.engine import (
     StopCondition,
 )
 from repro.core.errors import EngineError, PlanError
+from repro.core.kernels import _KERNELS
 from repro.core.messages import Message
 from repro.core.process import Process, RoundPlan
 from repro.core.trace import Delivery, Observer, RoundRecord
@@ -125,11 +106,6 @@ __all__ = [
 
 #: Sentinel: "build a single-lane kernel from my own processes".
 _AUTO_KERNEL = object()
-
-#: Sentinel round index for per-node state that is not scheduled to
-#: change ("uninformed", "never joins"): far beyond any execution while
-#: comfortably inside int64 arithmetic.
-_NEVER = 1 << 62
 
 #: Above this node count the dense reception matrices stop paying for
 #: their O(n²) memory; the bigint candidate scan stays O(n²/64) per
@@ -160,690 +136,17 @@ _PACKED_MAX_N = PACKED_ROWS_MAX_N
 _DENSE_BATCH_MAX_N = 512
 
 
-# ----------------------------------------------------------------------
-# Vectorized protocol kernels
-# ----------------------------------------------------------------------
-def _lane_column(banks: Sequence[Sequence], attr: str, dtype=None) -> np.ndarray:
-    """(T, 1) column of a lane parameter, read off each lane's first node."""
-    return np.array([[getattr(bank[0], attr)] for bank in banks], dtype=dtype)
-
-
-def _node_grid(banks: Sequence[Sequence], attr: str, dtype=None) -> np.ndarray:
-    """(T, n) grid of a per-node attribute."""
-    return np.array(
-        [[getattr(process, attr) for process in bank] for bank in banks], dtype=dtype
-    )
-
-
-class _KernelBase:
-    """What every bank kernel shares: one eligibility rule, one plan cache.
-
-    A kernel mirrors exactly one process class (``_KERNELS`` maps the
-    class to its kernel) and declares what it reads from those
-    processes:
-
-    * ``lane_params`` — attributes every node shares with its lane's
-      first node, because the kernel keeps them once per lane;
-    * ``unbounded`` — attributes that must be ``None``: a finite budget
-      re-ties the plan to each node's join round, which the generic
-      lanes handle;
-    * :meth:`_role_ok` — the per-node role rule the kernel's initial
-      state assumes.
-
-    A subclass of a process class opts out, falling back to the
-    per-node stages with identical results. Each kernel writes only
-    :meth:`_plan`; :meth:`probabilities` runs it once per round, which
-    matters for kernels whose plan also advances state.
-    """
-
-    lane_params: tuple[str, ...] = ()
-    unbounded: tuple[str, ...] = ()
-
-    @classmethod
-    def eligible(cls, banks: Sequence[Sequence]) -> bool:
-        """Whether every node of every lane fits this kernel's declaration."""
-        process_cls = type(banks[0][0])
-        fields = cls.lane_params + cls.unbounded
-        read = attrgetter(*fields) if fields else None
-        role_ok = cls._role_ok
-        for bank in banks:
-            first = bank[0]
-            if type(first) is not process_cls:
-                return False
-            if read is not None:
-                shared = read(first)
-                # Every node must match the first on ``unbounded`` too.
-                if any(getattr(first, name) is not None for name in cls.unbounded):
-                    return False
-            for u, process in enumerate(bank):
-                if type(process) is not process_cls:
-                    return False
-                if read is not None and read(process) != shared:
-                    return False
-                if not role_ok(process, u):
-                    return False
-        return True
-
-    @staticmethod
-    def _role_ok(process: Process, u: int) -> bool:
-        return True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        self.trials = len(banks)
-        self.n = len(banks[0])
-        self._r = -1
-        self._probs: Optional[np.ndarray] = None
-
-    def probabilities(self, r: int) -> np.ndarray:
-        """(T, n) transmission probabilities for round ``r`` (cached)."""
-        if r != self._r:
-            self._probs = self._plan(r)
-            self._r = r
-        return self._probs
-
-
-# ----------------------------------------------------------------------
-# Multi-message MAC family
-# ----------------------------------------------------------------------
-class _MultiMessageKernelBase(_KernelBase):
-    """Shared struct-of-arrays state for the multi-message kernels.
-
-    Layout (``T`` trials × ``n`` nodes × ``k`` messages):
-
-    * ``known``  — (T, n, ⌈k/64⌉) uint64 bitmap: bit ``i`` of the row
-      set iff the node holds message ``i`` (bit-packed 64 per word, so
-      any ``k`` fits).
-    * ``order``  — (T, n, k) int64 append-order log of message indices;
-      both protocols rotate/queue over their knowledge in append order.
-    * ``klen``   — (T, n) int64 length of that log.
-    * ``messages[t][i]`` — the canonical :class:`Message` object for
-      message ``i`` of trial ``t`` (minted by its source process, so
-      deliveries compare equal to the reference engine's).
-    """
-
-    #: The MAC protocols are never provably silent (a node that knows
-    #: anything keeps a nonzero duty cycle), and the kernels do not
-    #: track the class state the skip probe reads — lanes run with
-    #: round skipping disabled.
-    supports_skip = False
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        first = banks[0][0]
-        self.k = first.assignment.k
-        self.assignments = [bank[0].assignment for bank in banks]
-        shape = (self.trials, self.n)
-        words = (self.k + 63) // 64 or 1
-        self.known = np.zeros((*shape, words), dtype=np.uint64)
-        self.order = np.zeros((*shape, self.k), dtype=np.int64)
-        self.klen = np.zeros(shape, dtype=np.int64)
-        self.messages: list[list[Optional[Message]]] = [
-            [None] * self.k for _ in range(self.trials)
-        ]
-        # Canonical objects let feedback resolve a delivery's message
-        # index by identity instead of payload inspection; the
-        # ``messages`` lists pin the objects, so ids stay unique.
-        self._index_by_id: dict[int, int] = {}
-
-    def _ingest_knowledge(self, t: int, u: int, messages: Sequence[Message]) -> None:
-        """Seed node (t, u)'s knowledge log from its initial messages."""
-        assignment = self.assignments[t]
-        for position, message in enumerate(messages):
-            index = assignment.index_of(message.payload)
-            self.order[t, u, position] = index
-            word, bit = divmod(index, 64)
-            self.known[t, u, word] |= np.uint64(1 << bit)
-            # Initial messages exist only at their sources, so this is
-            # the canonical (source-minted) object for the index.
-            self.messages[t][index] = message
-            self._index_by_id[id(message)] = index
-        self.klen[t, u] = len(messages)
-
-    def _learn(self, t: int, u: int, index: int) -> bool:
-        """Append message ``index`` to (t, u)'s log; False if known."""
-        word, bit = divmod(index, 64)
-        flag = np.uint64(1 << bit)
-        if self.known[t, u, word] & flag:
-            return False
-        self.known[t, u, word] |= flag
-        length = int(self.klen[t, u])
-        self.order[t, u, length] = index
-        self.klen[t, u] = length + 1
-        return True
-
-    def message_for(self, t: int, u: int) -> Message:
-        """The log entry node ``u`` rotates to this round (offset by id)."""
-        index = self.order[t, u, (self._r + u) % int(self.klen[t, u])]
-        return self.messages[t][int(index)]
-
-    def _learners(self, t: int, deliveries: Sequence[Delivery]) -> list[int]:
-        """Log each delivered message; the receivers that learned one.
-
-        Kernel lanes mint every transmitted message through
-        :meth:`message_for`, so deliveries carry the canonical objects
-        and resolve by identity; payload inspection keeps parity for
-        any non-canonical (but valid) message object.
-        """
-        learners = []
-        for delivery in deliveries:
-            message = delivery.message
-            index = self._index_by_id.get(id(message))
-            if index is None and message.is_data():
-                index = self.assignments[t].index_of(message.payload)
-            if index is not None and self._learn(t, delivery.receiver, index):
-                learners.append(delivery.receiver)
-        return learners
-
-
-class _GklnBankKernel(_MultiMessageKernelBase):
-    """All trials of a GKLN queued-discipline bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.multi_message.GklnMultiMessageProcess`
-    exactly: the pending FIFO is the suffix ``order[qhead:klen]`` of the
-    append-order log (relay-once means every learned message is queued
-    exactly once, in learn order), ``head_start`` is the round the
-    head's ack window opened (−1 = idle), and elapsed windows are folded
-    by one vectorized division instead of a per-node ``while`` loop.
-    """
-
-    lane_params = ("assignment", "window", "rungs", "persist_probability")
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.window = _lane_column(banks, "window", np.int64)
-        self.rungs = _lane_column(banks, "rungs", np.int64)
-        self.persist = _lane_column(banks, "persist_probability", np.float64)
-        self.qhead = np.zeros((self.trials, self.n), dtype=np.int64)
-        self.head_start = np.full((self.trials, self.n), -1, dtype=np.int64)
-        for t, bank in enumerate(banks):
-            for u, process in enumerate(bank):
-                self._ingest_knowledge(t, u, list(process._all_known))
-                self.qhead[t, u] = self.klen[t, u] - len(process._queue)
-                if process._head_start is not None:
-                    self.head_start[t, u] = process._head_start
-
-    def _plan(self, r: int) -> np.ndarray:
-        head_start, qhead, klen = self.head_start, self.qhead, self.klen
-        # Fold elapsed ack windows: every full window pops one head.
-        started = head_start >= 0
-        pops = np.where(
-            started,
-            np.minimum((r - head_start) // self.window, klen - qhead),
-            0,
-        )
-        np.maximum(pops, 0, out=pops)
-        qhead += pops
-        head_start += pops * self.window
-        head_start[started & (qhead >= klen)] = -1
-        serving = head_start >= 0
-        # Serving nodes climb the decay ladder (exact powers of two, so
-        # ldexp matches the process's ``2.0 ** (-slot % rungs - 1)``
-        # bit-for-bit); idle nodes with knowledge persist at the
-        # background duty cycle; everyone else is silent.
-        ladder = decay_ladder(r - head_start, self.rungs)
-        background = np.where((klen > 0) & (self.persist > 0.0), self.persist, 0.0)
-        return np.where(serving, ladder, background)
-
-    def message_for(self, t: int, u: int) -> Message:
-        """The queue head while serving, the rotation while idle."""
-        if self.head_start[t, u] >= 0:
-            return self.messages[t][int(self.order[t, u, self.qhead[t, u]])]
-        return super().message_for(t, u)
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """Sparse reception feedback (idle/transmit feedback are no-ops)."""
-        for u in self._learners(t, deliveries):
-            if self.head_start[t, u] < 0:
-                # The queue was idle: the window opens next round.
-                self.head_start[t, u] = r + 1
-
-
-class _BackoffBankKernel(_MultiMessageKernelBase):
-    """All trials of a simple back-off bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.multi_message.BackoffMultiMessageProcess`:
-    nodes holding messages transmit at the regime's rate (fixed, or
-    halving per quiet ``backoff_window`` — again exact powers of two via
-    ``ldexp``) and rotate through their knowledge log offset by node id.
-    """
-
-    lane_params = (
-        "assignment",
-        "regime",
-        "backoff_window",
-        "base_probability",
-        "min_probability",
-    )
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.exponential = _lane_column(banks, "regime") == "exponential"
-        self.backoff_window = _lane_column(banks, "backoff_window", np.int64)
-        self.base = _lane_column(banks, "base_probability", np.float64)
-        self.floor = _lane_column(banks, "min_probability", np.float64)
-        self.last_new = np.zeros((self.trials, self.n), dtype=np.int64)
-        for t, bank in enumerate(banks):
-            for u, process in enumerate(bank):
-                self._ingest_knowledge(t, u, list(process._known))
-
-    def _plan(self, r: int) -> np.ndarray:
-        epoch = np.maximum(0, r - self.last_new) // self.backoff_window
-        backed = np.maximum(self.floor, self.base * np.ldexp(1.0, -epoch))
-        rate = np.where(self.exponential, backed, self.base)
-        return np.where(self.klen > 0, rate, 0.0)
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """Sparse reception feedback (idle/transmit feedback are no-ops)."""
-        for u in self._learners(t, deliveries):
-            # New knowledge resets the back-off clock from next round.
-            self.last_new[t, u] = r + 1
-
-
-# ----------------------------------------------------------------------
-# Single-message family: local and global broadcast
-# ----------------------------------------------------------------------
-class _SingleMessageKernelBase(_KernelBase):
-    """Shared scaffolding for the single-message kernels.
-
-    These protocols share one structural property the kernels exploit:
-    in any given round, every transmitting node of a lane declares the
-    *same* probability (a ladder rung, a schedule rung, a constant
-    rate, or the certain 1.0 of a slot/announcement). Each kernel's
-    :meth:`_plan` therefore goes through :meth:`_shared_rung`, which
-    fills, per lane:
-
-    * ``_counts[t]`` — how many nodes hold the live probability;
-    * ``_rungs[t]``  — that probability.
-
-    which makes :meth:`expected_exact` O(1): ``count × p`` is the
-    *correctly rounded* value of the real sum of ``count`` copies of
-    ``p`` (``count`` is exactly representable, and ``fsum`` rounds the
-    same real number once), so it is bit-identical to the reference
-    engine's fsum — the licence round skipping needs.
-
-    ``has_message`` is the (T, n) grid of nodes that hold a message:
-    the broadcasters of a local broadcast, the informed nodes of a
-    global one. State changes ride deliveries only (eligibility pins
-    the exact process types, whose idle/transmit feedback are no-ops),
-    so each kernel's schedule state can prove the coming rounds silent:
-    its :meth:`next_active_round` is the kernel's one skip licence.
-    ``supports_skip`` stays True and bank lanes keep event-driven
-    skipping, compounding with the struct-of-arrays plan stage.
-    """
-
-    supports_skip = True
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self._ones = np.ones((self.trials, 1))
-        self._counts: Optional[np.ndarray] = None
-        self._rungs: Optional[np.ndarray] = None
-
-    def _shared_rung(
-        self, active: np.ndarray, rung: np.ndarray, counts: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Probabilities where lane ``t``'s active nodes all hold ``rung[t]``.
-
-        ``rung`` is a (T, 1) column; ``counts`` may pass a precomputed
-        ``active.sum(axis=1)``. Rungs are finite and non-negative, so
-        the product is exactly the rung or ``+0.0``.
-        """
-        self._counts = active.sum(axis=1) if counts is None else counts
-        self._rungs = rung[:, 0]
-        return active * rung
-
-    def expected_exact(self, t: int, r: int) -> float:
-        """The round's expected transmitter count, bit-identical to fsum."""
-        self.probabilities(r)
-        return int(self._counts[t]) * float(self._rungs[t])
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """Reception feedback; the static schedules have none."""
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        """First round > ``r`` on which lane ``t`` could transmit.
-
-        The kernel's skip licence: every round in ``(r, result)`` has
-        zero transmission probability for every node of the lane,
-        assuming no deliveries land in between (which is vacuous —
-        all-silent rounds deliver nothing). ``None`` means the lane
-        never transmits again without a delivery. The promise holds
-        regardless of what round ``r`` itself did, so the scheduler
-        may skip from a silent round and straight from one slot round
-        to the next alike.
-        """
-        raise NotImplementedError
-
-
-class _LocalKernelBase(_SingleMessageKernelBase):
-    """Local broadcast: a fixed broadcaster set, each node its own message.
-
-    Role rule: a node is a broadcaster iff it has a message. Roles
-    never change, so ``has_message`` is the broadcaster grid and
-    ``_bcount`` its per-lane size.
-    """
-
-    @staticmethod
-    def _role_ok(process: Process, u: int) -> bool:
-        return process.is_broadcaster == (process.message is not None)
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.has_message = _node_grid(banks, "is_broadcaster", bool)
-        self.messages = [[process.message for process in bank] for bank in banks]
-        self._bcount = self.has_message.sum(axis=1)
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Broadcasters carry per-node messages (origin = own id)."""
-        return self.messages[t][u]
-
-
-class _GlobalKernelBase(_SingleMessageKernelBase):
-    """Global broadcast: one source's message, relayed once received.
-
-    Role rule: a node has a message iff it is the lane's source.
-    ``has_message`` starts at the source and grows by :meth:`_adopt` —
-    the first data reception — and every transmitter relays the lane's
-    canonical message.
-    """
-
-    lane_params: tuple[str, ...] = ("source",)
-
-    @staticmethod
-    def _role_ok(process: Process, u: int) -> bool:
-        return (process.message is not None) == (u == process.source)
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.source = _lane_column(banks, "source", np.int64)
-        self.message = [
-            bank[int(source)].message for bank, source in zip(banks, self.source[:, 0])
-        ]
-        self.has_message = np.arange(self.n) == self.source
-
-    def message_for(self, t: int, u: int) -> Message:
-        """Every transmitter relays the trial's canonical message."""
-        return self.message[t]
-
-    def _announcement(self) -> np.ndarray:
-        """Round-0 probabilities: the certain source announcement."""
-        return self._shared_rung(np.arange(self.n) == self.source, self._ones)
-
-    @staticmethod
-    def _adoptable(message: Message) -> bool:
-        return message.is_data()
-
-    def _adopt(self, t: int, deliveries: Sequence[Delivery]) -> list[int]:
-        """Mark first receptions of the message; the adopting receivers."""
-        has_message = self.has_message
-        adopted = []
-        for delivery in deliveries:
-            u = delivery.receiver
-            if not has_message[t, u] and self._adoptable(delivery.message):
-                has_message[t, u] = True
-                adopted.append(u)
-        return adopted
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """First data reception adopts the message."""
-        self._adopt(t, deliveries)
-
-
-class _PlainDecayBankKernel(_GlobalKernelBase):
-    """All trials of a BGI plain-decay bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.decay.PlainDecayGlobalProcess`:
-    ``start[t, u]`` is the node's ``participate_from`` (every join lies
-    on a phase boundary — ``start ≡ 1 mod L`` — so one ladder rung
-    ``2^{-((r-1) mod L)-1}`` serves the whole informed set of a lane),
-    ``_NEVER`` marks uninformed nodes, and adoption computes the next
-    boundary exactly like ``on_feedback``.
-    """
-
-    lane_params = _GlobalKernelBase.lane_params + ("phase_length",)
-    unbounded = ("active_phases",)
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.phase = _lane_column(banks, "phase_length", np.int64)
-        self.start = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
-        for t, bank in enumerate(banks):
-            for u, process in enumerate(bank):
-                if process.participate_from is not None:
-                    self.start[t, u] = process.participate_from
-
-    def _plan(self, r: int) -> np.ndarray:
-        if r == 0:
-            return self._announcement()
-        return self._shared_rung(self.start <= r, decay_ladder(r - 1, self.phase))
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """First data reception adopts; join at the next phase boundary."""
-        adopted = self._adopt(t, deliveries)
-        if adopted:
-            # Same arithmetic as on_feedback: the next round r+1, pushed
-            # to the boundary of the global phase clock (epoch offset 1).
-            phase = int(self.phase[t, 0])
-            remainder = r % phase
-            wait = 0 if remainder == 0 else phase - remainder
-            self.start[t, adopted] = r + 1 + wait
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        start = self.start[t]
-        informed = start[start != _NEVER]
-        if informed.size == 0:
-            return None  # only a delivery can wake the lane
-        # An already-active participant rides the ladder every round;
-        # otherwise the earliest pending phase boundary is next.
-        return max(r + 1, int(informed.min()))
-
-
-class _PermutedDecayBankKernel(_GlobalKernelBase):
-    """All trials of a Section-4.1 permuted-decay bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.global_broadcast.ObliviousGlobalBroadcastProcess`:
-    ``join_epoch[t, u]`` is the first epoch node ``u`` participates in
-    (``_NEVER`` = uninformed; the source never joins — its role ends
-    with the announcement). Lemma 4.2's sharing structure does the rest:
-    all active nodes of a lane read the same chunk of ``S`` for the same
-    epoch, so the round's rung is one schedule lookup per lane.
-    """
-
-    lane_params = _GlobalKernelBase.lane_params + ("schedule", "num_chunks")
-    unbounded = ("epochs_per_node",)
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.schedule = [bank[0].schedule for bank in banks]
-        self.num_chunks = [bank[0].num_chunks for bank in banks]
-        self.epoch_len = [bank[0].epoch_length for bank in banks]
-        self.shared = [message.shared_bits for message in self.message]
-        self.join_epoch = np.full((self.trials, self.n), _NEVER, dtype=np.int64)
-
-    def _plan(self, r: int) -> np.ndarray:
-        if r == 0:
-            return self._announcement()
-        epochs = np.empty((self.trials, 1), dtype=np.int64)
-        rungs = np.empty((self.trials, 1))
-        for t in range(self.trials):
-            epoch, round_in_epoch = divmod(r, self.epoch_len[t])
-            schedule = self.schedule[t]
-            chunk_offset = (epoch % self.num_chunks[t]) * schedule.bits_per_call
-            # One schedule lookup serves the lane's whole active set —
-            # the same call plan() makes, so the float is identical.
-            epochs[t] = epoch
-            rungs[t] = schedule.probability(self.shared[t], chunk_offset, round_in_epoch)
-        return self._shared_rung(self.join_epoch <= epochs, rungs)
-
-    @staticmethod
-    def _adoptable(message: Message) -> bool:
-        return message.is_data() and message.shared_bits is not None
-
-    def apply_feedback(self, t: int, r: int, deliveries: Sequence[Delivery]) -> None:
-        """First ⟨m', S⟩ reception adopts; join at the next epoch boundary."""
-        adopted = self._adopt(t, deliveries)
-        if adopted:
-            # First epoch boundary strictly after this round.
-            epoch_len = self.epoch_len[t]
-            self.join_epoch[t, adopted] = (r + 1 + epoch_len - 1) // epoch_len
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        joins = self.join_epoch[t]
-        joined = joins[joins != _NEVER]
-        if joined.size == 0:
-            # The source's role ends with the round-0 announcement;
-            # only a delivery can create a relay.
-            return None
-        return max(r + 1, int(joined.min()) * self.epoch_len[t])
-
-
-class _StaticDecayBankKernel(_LocalKernelBase):
-    """All trials of an [8]-style static local decay bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.local_static.StaticLocalDecayProcess`:
-    broadcasters ride the public ladder ``2^{-(r mod L)-1}`` from round
-    0 forever; there is no feedback at all, so the whole kernel is one
-    masked ladder broadcast per round.
-    """
-
-    lane_params = ("phase_length",)
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.phase = _lane_column(banks, "phase_length", np.int64)
-
-    def _plan(self, r: int) -> np.ndarray:
-        return self._shared_rung(
-            self.has_message, decay_ladder(r, self.phase), self._bcount
-        )
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        # Broadcasters ride the public ladder every round, forever.
-        return r + 1 if int(self._bcount[t]) else None
-
-
-class _SlotPlan:
-    """Footnotes 4–5: a node with a message transmits (certainly) iff
-    ``r ≡ slots[u] (mod n)``, so the plan is one equality compare.
-
-    Mixed into a local or global kernel base, which supplies
-    ``has_message``.
-    """
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.slots = _node_grid(banks, "slot", np.int64)
-
-    def _plan(self, r: int) -> np.ndarray:
-        return self._shared_rung(self.has_message & (self.slots == r % self.n), self._ones)
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        """First round *strictly* after ``r`` on which any held slot fires.
-
-        A slot firing at ``r`` itself maps a full cycle forward: the
-        skip licence asks "when does the *next* slot land?", possibly
-        while standing on one.
-        """
-        slots = self.slots[t][self.has_message[t]]
-        if slots.size == 0:
-            return None
-        if self.n == 1:
-            return r + 1
-        return r + 1 + int(((slots - (r + 1)) % self.n).min())
-
-
-class _RoundRobinLocalBankKernel(_SlotPlan, _LocalKernelBase):
-    """All trials of a footnote-4 round-robin local bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.round_robin.RoundRobinLocalProcess`:
-    broadcaster ``u`` transmits in its slot; roles and slots never
-    change.
-    """
-
-
-class _RoundRobinGlobalBankKernel(_SlotPlan, _GlobalKernelBase):
-    """All trials of a footnote-5 round-robin global bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.round_robin.RoundRobinGlobalProcess`:
-    informed nodes transmit in their slot and adopt the message on
-    first data reception.
-    """
-
-
-class _UniformLocalBankKernel(_LocalKernelBase):
-    """All trials of a constant-rate local bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.uniform.UniformLocalProcess`:
-    broadcasters transmit at the fixed rate forever; no feedback.
-    """
-
-    lane_params = ("probability",)
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.rate = _lane_column(banks, "probability", np.float64)
-
-    def _plan(self, r: int) -> np.ndarray:
-        return self._shared_rung(self.has_message, self.rate, self._bcount)
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        if int(self._bcount[t]) and float(self.rate[t, 0]) > 0.0:
-            return r + 1  # a live rate is a coin flip every round
-        return None
-
-
-class _UniformGlobalBankKernel(_GlobalKernelBase):
-    """All trials of a constant-rate global bank, as arrays.
-
-    Mirrors :class:`~repro.algorithms.uniform.UniformGlobalProcess`:
-    the source announces in round 0; informed nodes then relay at the
-    fixed rate, adopting on first data reception.
-    """
-
-    lane_params = _GlobalKernelBase.lane_params + ("probability",)
-
-    def __init__(self, banks: Sequence[Sequence]) -> None:
-        super().__init__(banks)
-        self.rate = _lane_column(banks, "probability", np.float64)
-
-    def _plan(self, r: int) -> np.ndarray:
-        if r == 0:
-            return self._announcement()
-        return self._shared_rung(self.has_message, self.rate)
-
-    def next_active_round(self, t: int, r: int) -> Optional[int]:
-        if r == 0 or float(self.rate[t, 0]) > 0.0:
-            # The round-1 case is conservative for a zero rate, but a
-            # zero-rate global relay is a degenerate config not worth a
-            # special case here.
-            return r + 1
-        return None
-
-
-#: The kernel for each exact process class it mirrors.
-_KERNELS: dict[type, type[_KernelBase]] = {
-    GklnMultiMessageProcess: _GklnBankKernel,
-    BackoffMultiMessageProcess: _BackoffBankKernel,
-    PlainDecayGlobalProcess: _PlainDecayBankKernel,
-    ObliviousGlobalBroadcastProcess: _PermutedDecayBankKernel,
-    StaticLocalDecayProcess: _StaticDecayBankKernel,
-    RoundRobinLocalProcess: _RoundRobinLocalBankKernel,
-    RoundRobinGlobalProcess: _RoundRobinGlobalBankKernel,
-    UniformLocalProcess: _UniformLocalBankKernel,
-    UniformGlobalProcess: _UniformGlobalBankKernel,
-}
-
-
 def build_bank_kernel(banks: Sequence[Sequence]):
     """A vectorized protocol kernel for these process banks, or ``None``.
 
     ``banks[t]`` is trial ``t``'s per-node process list. The first
     node's exact class selects the one candidate kernel, which is built
     only when *every* process of every lane fits its declaration
-    (:meth:`_KernelBase.eligible`); anything else returns ``None`` and
-    the lanes run the reference engine's per-node plan and feedback
-    stages (still coin/reception-batched by the scheduler — this is a
-    capability probe, not a fallback to a slower engine).
+    (:meth:`~repro.core.kernels._KernelBase.eligible`); anything else
+    returns ``None`` and the lanes run the reference engine's per-node
+    plan and feedback stages (still coin/reception-batched by the
+    scheduler — this is a capability probe, not a fallback to a slower
+    engine).
     """
     if not banks or not banks[0]:
         return None
@@ -1007,16 +310,15 @@ class BankRadioNetworkEngine(RadioNetworkEngine):
         probed right after round ``r``; ``r + 1`` when nothing is
         skippable.
 
-        Kernel lanes answer from schedule state alone with
-        :meth:`_SingleMessageKernelBase.next_active_round`, a licence
-        that holds whatever round ``r`` did, clamped by the adversary's
-        purity boundary (which gates eliding its ``choose_topology``
-        calls). Kernel-less lanes infer silence from an executed silent
-        round, so they answer only when ``silent`` (every surviving
-        lane of the bank was provably silent in round ``r``) and their
-        idle feedback is a no-op; the reference probe then polls every
-        process, and failed attempts back off exactly as the reference
-        loop does.
+        Kernel lanes answer from schedule state alone with the kernel's
+        ``next_active_round``, a licence that holds whatever round ``r``
+        did, clamped by the adversary's purity boundary (which gates
+        eliding its ``choose_topology`` calls). Kernel-less lanes infer
+        silence from an executed silent round, so they answer only when
+        ``silent`` (every surviving lane of the bank was provably silent
+        in round ``r``) and their idle feedback is a no-op; the
+        reference probe then polls every process, and failed attempts
+        back off exactly as the reference loop does.
         """
         kernel = self._kernel
         if kernel is None:

@@ -171,6 +171,30 @@ class TestKillAndRequeue:
         assert health["alive"] == 2
 
 
+class GateFirstTask:
+    """The pool as ``JobManager`` sees it, with the first task held.
+
+    ``JobManager`` builds its task payloads itself, so the gate goes in
+    on the way to the pool: the first ``submit`` carries a
+    :class:`GatedCount` trial count, which the worker cannot read until
+    the test opens ``gate``. Everything else is the wrapped pool's.
+    """
+
+    def __init__(self, pool, gate):
+        self._pool = pool
+        self._gate = gate
+        self._gated = False
+
+    def __getattr__(self, name):
+        return getattr(self._pool, name)
+
+    def submit(self, kind, payload, callback):
+        if not self._gated:
+            self._gated = True
+            payload = dict(payload, trials=GatedCount(payload["trials"], self._gate))
+        return self._pool.submit(kind, payload, callback)
+
+
 class TestJobLevelKill:
     def test_killed_worker_job_matches_uninterrupted_run(self, tmp_path):
         """The acceptance scenario, end to end at the job layer:
@@ -179,9 +203,13 @@ class TestJobLevelKill:
         to a store fed by an uninterrupted direct run."""
         from repro.serve.jobs import scenario_record
 
+        # The first run blocks reading its trial count until the gate
+        # opens, and the gate opens only after the kill: it cannot
+        # finish before it is killed.
+        gate = tmp_path / "gate"
         served = ResultStore(tmp_path / "served")
         with WorkerPool(workers=2) as pool:
-            manager = JobManager(served, pool)
+            manager = JobManager(served, GateFirstTask(pool, str(gate)))
             job = manager.submit(
                 {"scenario": SLOW_SPEC_DOC, "seed": SLOW_SEED,
                  "trials": SLOW_TRIALS}
@@ -192,6 +220,7 @@ class TestJobLevelKill:
             victims = pool.busy_pids()
             assert victims
             os.kill(victims[0], signal.SIGKILL)
+            gate.touch()
             deadline = time.time() + 300
             while time.time() < deadline and not job.terminal:
                 time.sleep(0.05)
